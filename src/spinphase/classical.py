@@ -126,11 +126,13 @@ def _rk4_precession(
     n = max(1, math.ceil(span / dt - 1e-12))
     h = span / n
     for k in range(n):
+        # stage times from the step index; the last stage lands exactly on t1
         t = t0 + k * h
+        t_end = t0 + (k + 1) * h if k + 1 < n else t1
         k1 = _torque(rate(t), m)
         k2 = _torque(rate(t + 0.5 * h), m + 0.5 * h * k1)
         k3 = _torque(rate(t + 0.5 * h), m + 0.5 * h * k2)
-        k4 = _torque(rate(t + h), m + h * k3)
+        k4 = _torque(rate(t_end), m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         nrm = float(np.linalg.norm(m))
         if abs(nrm - mu0) > MAX_NORM_DRIFT * mu0:

@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,17 +24,8 @@ import numpy as np
 
 from .classical import ClassicalDipole
 from .dispersion import GaussianPacket, RegionInterval, nondispersivity_sweep
-from .errors import (
-    ConfigError,
-    GeodesicAmbiguous,
-    InsufficientSamples,
-    NotNormalized,
-    SingularInversion,
-    SingularPoint,
-    StepTooLarge,
-    UndefinedPhase,
-)
-from .fields import FieldConfig, PlanarPath, UnitSystem, line_integral_A, pulse_integral_B
+from .errors import ConfigError, InsufficientSamples, SpinPhaseError, UndefinedPhase
+from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, line_integral_A, pulse_integral_B
 from .interferometry import (
     CSV_COLUMNS,
     EPS_VIS,
@@ -42,7 +34,7 @@ from .interferometry import (
     nonideal_phase,
     nonideal_visibility,
 )
-from .quantum import bloch_of, evolve_spin, spinor_from_angles
+from .quantum import bloch_of, rotate_z, spinor_from_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,40 +49,19 @@ MODES = (
     "nondispersive",
 )
 
-_KNOWN_KEYS = {
-    "mode",
-    "out",
-    "format",
-    "field",
-    "theta",
-    "azimuth",
-    "phi_d",
-    "phi",
-    "visibility",
-    "path",
-    "grid_theta",
-    "grid_phid",
-    "chi_samples",
-    "t_max",
-    "n_t",
-    "n_sub",
-    "solid_angle_steps",
-    "packet",
-    "region",
-    "velocities",
-    "k_sigma",
-}
-
-_ANGLE_KEYS = ("theta", "azimuth", "phi_d", "phi")
+_ANGLE_KEYS = ("theta", "azimuth", "phi_d", "phi", "grid_theta", "grid_phid")
 
 
 @dataclass
 class Scenario:
-    """A validated run description (file config merged with flag overrides)."""
+    """A validated run description (file config merged with flag overrides).
+
+    Each field is a config key, and each default here is the only one.
+    """
 
     mode: str
     out: Path
-    fmt: str = "csv"
+    format: str = "csv"
     field: FieldConfig | None = None
     theta: float | None = None
     azimuth: float = 0.0
@@ -109,6 +80,9 @@ class Scenario:
     region: RegionInterval | None = None
     velocities: list[float] | None = None
     k_sigma: float = 5.0
+
+
+_KEYS = frozenset(f.name for f in dataclasses.fields(Scenario))
 
 
 def fit_fringe(samples: Sequence[tuple[float, float]]) -> tuple[float | None, float]:
@@ -142,10 +116,7 @@ def _format_cell(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "NaN"
-    return format(x, ".17g")
+    return format(float(value), ".17g")
 
 
 def _json_safe(value: Any) -> Any:
@@ -155,20 +126,16 @@ def _json_safe(value: Any) -> Any:
         return int(value)
     if isinstance(value, np.bool_):
         return bool(value)
-    x = float(value)
-    return None if math.isnan(x) else x
+    return float(value)
 
 
-def _write_csv(out: Path, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     lines = [",".join(columns)]
     lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    with open(out, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(
-    out: Path, mode: str, columns: Sequence[str], rows: Sequence[Sequence[Any]], extras: dict | None
-) -> None:
+def _json_text(mode: str, columns: Sequence[str], rows: Sequence[Sequence[Any]], extras: dict | None) -> str:
     payload: dict = {
         "mode": mode,
         "columns": list(columns),
@@ -176,8 +143,7 @@ def _write_json(
     }
     if extras:
         payload.update(extras)
-    with open(out, "w", newline="") as handle:
-        handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _require(scenario: Scenario, attr: str, key: str) -> Any:
@@ -226,8 +192,6 @@ def _run_chi_scan(sc: Scenario):
             phi = 0.0  # the fringe is flat; the phase value is immaterial
     if not 0.0 <= nu <= 1.0:
         raise ConfigError("config key 'visibility' must lie in [0, 1]")
-    if sc.chi_samples < 3:
-        raise ConfigError("config key 'chi_samples' must be at least 3")
     rows = []
     samples = []
     for j in range(sc.chi_samples):
@@ -240,78 +204,62 @@ def _run_chi_scan(sc: Scenario):
     return ["chi", "P1", "P2"], rows, extras
 
 
-def _time_grid(sc: Scenario, pulse) -> np.ndarray:
+def _sab_series(sc: Scenario, factor: float):
+    """(t,) and the precession angle at each time of the grid."""
+    pulse = sc.field.pulse
     t_max = sc.t_max if sc.t_max is not None else max(pulse.t_off, 0.0)
     if t_max < 0.0:
         raise ConfigError("config key 't_max' must be nonnegative")
-    if sc.n_t < 1:
-        raise ConfigError("config key 'n_t' must be at least 1")
-    return np.linspace(0.0, t_max, sc.n_t)
+    for t in np.linspace(0.0, t_max, sc.n_t):
+        yield [float(t)], factor * pulse_integral_B(pulse, 0.0, float(t))
 
 
-def _run_sab_classical(sc: Scenario):
-    fc = _require_pulse(sc)
-    theta = _require(sc, "theta", "theta")
-    units = fc.units
-    rows = []
-    for t in _time_grid(sc, fc.pulse):
-        gamma = -units.Gamma * pulse_integral_B(fc.pulse, 0.0, float(t))
-        vec = ClassicalDipole(units.mu, theta, sc.azimuth + gamma).vector
-        rows.append([float(t), gamma, vec[0], vec[1], vec[2]])
-    return ["t", "gamma", "mu_x", "mu_y", "mu_z"], rows, None
-
-
-def _run_sab_quantum(sc: Scenario):
-    fc = _require_pulse(sc)
-    theta = _require(sc, "theta", "theta")
-    units = fc.units
-    s0 = spinor_from_angles(theta, sc.azimuth)
-    rows = []
-    for t in _time_grid(sc, fc.pulse):
-        gamma = -2.0 * units.mu / units.hbar * pulse_integral_B(fc.pulse, 0.0, float(t))
-        n = bloch_of(evolve_spin(s0, gamma))
-        rows.append([float(t), gamma, n[0], n[1], n[2]])
-    return ["t", "gamma", "n_x", "n_y", "n_z"], rows, None
-
-
-def _ac_series(sc: Scenario, rotation_factor: float):
-    """Rows of cumulative gamma along the path; rotation_factor converts the
-    per-segment line integral into the precession angle."""
-    fc = _require(sc, "field", "field")
+def _ac_series(sc: Scenario, factor: float):
+    """(s, x, y) and the cumulative precession angle at each path vertex."""
     path = _require(sc, "path", "path")
     verts = path.vertices
     gamma = 0.0
     arclength = 0.0
-    points = [(0.0, verts[0], 0.0)]
+    yield [0.0, verts[0][0], verts[0][1]], gamma
     for i in range(path.n_segments):
         seg = PlanarPath(verts[i : i + 2])
-        gamma += rotation_factor * line_integral_A(fc, seg, sc.n_sub)
+        gamma += factor * line_integral_A(sc.field, seg, sc.n_sub)
         arclength += float(np.linalg.norm(verts[i + 1] - verts[i]))
-        points.append((arclength, verts[i + 1], gamma))
-    return points
+        yield [arclength, verts[i + 1][0], verts[i + 1][1]], gamma
 
 
-def _run_ac_classical(sc: Scenario):
-    fc = _require(sc, "field", "field")
+def _run_series(sc: Scenario):
+    """Precession series: a source of (leading cells, gamma) pairs, the time
+    grid for sab modes or the path for ac modes, and a row formula for the
+    precessed state, the classical moment or the spin's Bloch vector."""
+    family, flavour = sc.mode.split("-")
+    units = (_require_pulse(sc) if family == "sab" else _require(sc, "field", "field")).units
     theta = _require(sc, "theta", "theta")
-    units = fc.units
-    rows = []
-    for s, vertex, gamma in _ac_series(sc, -units.Gamma):
-        vec = ClassicalDipole(units.mu, theta, sc.azimuth + gamma).vector
-        rows.append([s, vertex[0], vertex[1], gamma, vec[0], vec[1], vec[2]])
-    return ["s", "x", "y", "gamma", "mu_x", "mu_y", "mu_z"], rows, None
+    if flavour == "classical":
+        factor = -units.Gamma
+        names = ["mu_x", "mu_y", "mu_z"]
 
+        def state(gamma: float) -> np.ndarray:
+            return ClassicalDipole(units.mu, theta, sc.azimuth + gamma).vector
 
-def _run_ac_quantum(sc: Scenario):
-    fc = _require(sc, "field", "field")
-    theta = _require(sc, "theta", "theta")
-    units = fc.units
-    s0 = spinor_from_angles(theta, sc.azimuth)
+    else:
+        factor = -2.0 * units.mu / units.hbar
+        names = ["n_x", "n_y", "n_z"]
+        s0 = spinor_from_angles(theta, sc.azimuth)
+
+        def state(gamma: float) -> np.ndarray:
+            return bloch_of(rotate_z(s0, gamma))
+
+    if family == "sab":
+        leading, source = ["t"], _sab_series(sc, factor)
+    else:
+        leading, source = ["s", "x", "y"], _ac_series(sc, factor)
     rows = []
-    for s, vertex, gamma in _ac_series(sc, -2.0 * units.mu / units.hbar):
-        n = bloch_of(evolve_spin(s0, gamma))
-        rows.append([s, vertex[0], vertex[1], gamma, n[0], n[1], n[2]])
-    return ["s", "x", "y", "gamma", "n_x", "n_y", "n_z"], rows, None
+    for cells, gamma in source:
+        if not math.isfinite(sc.azimuth + gamma):
+            raise SpinPhaseError(f"precession angle {gamma} overflows the float range")
+        rows.append([*cells, gamma, *state(gamma)])
+    return [*leading, "gamma", *names], rows, None
 
 
 def _run_nondispersive(sc: Scenario):
@@ -321,6 +269,10 @@ def _run_nondispersive(sc: Scenario):
     velocities = _require(sc, "velocities", "velocities")
     if len(velocities) == 0:
         raise ConfigError("config key 'velocities' must be nonempty")
+    if fc.pulse.t_on < 0.0:
+        raise ConfigError("config key 'field.pulse.t_on' must be nonnegative in mode 'nondispersive'")
+    if not sc.k_sigma > 0.0:
+        raise ConfigError("config key 'k_sigma' must be positive")
     report = nondispersivity_sweep(packet, velocities, region, fc.pulse, fc.units, sc.k_sigma)
     rows = [[row.velocity, row.contained, row.gamma, row.valid] for row in report.rows]
     return list(report.columns), rows, None
@@ -330,194 +282,129 @@ _RUNNERS = {
     "interfere": _run_interfere,
     "sweep": _run_sweep,
     "chi-scan": _run_chi_scan,
-    "sab-classical": _run_sab_classical,
-    "sab-quantum": _run_sab_quantum,
-    "ac-classical": _run_ac_classical,
-    "ac-quantum": _run_ac_quantum,
+    "sab-classical": _run_series,
+    "sab-quantum": _run_series,
+    "ac-classical": _run_series,
+    "ac-quantum": _run_series,
     "nondispersive": _run_nondispersive,
 }
 
 
 def run(scenario: Scenario) -> int:
-    """Execute a validated scenario and write its single output file."""
+    """Execute a validated scenario and write its single output file.
+
+    Undefined cells are None; any other non-finite cell means the inputs
+    overflowed the float range, and nothing is written.
+    """
     columns, rows, extras = _RUNNERS[scenario.mode](scenario)
-    if scenario.fmt == "json":
-        _write_json(scenario.out, scenario.mode, columns, rows, extras)
+    for row in rows:
+        for name, value in zip(columns, row):
+            if value is not None and not math.isfinite(value):
+                raise SpinPhaseError(f"column {name!r} overflows the float range")
+    if scenario.format == "json":
+        text = _json_text(scenario.mode, columns, rows, extras)
     else:
-        _write_csv(scenario.out, columns, rows)
-        if extras and "fit" in extras:
-            fit = extras["fit"]
-            print(f"fit: phi={_format_cell(fit['phi'])} visibility={_format_cell(fit['visibility'])}")
+        text = _csv_text(columns, rows)
+    try:
+        with open(scenario.out, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"config key 'out' names a file that cannot be written: {exc}") from None
+    if scenario.format == "csv" and extras and "fit" in extras:
+        fit = extras["fit"]
+        print(f"fit: phi={_format_cell(fit['phi'])} visibility={_format_cell(fit['visibility'])}")
     return 0
 
 
-def _as_float(cfg: dict, key: str) -> float | None:
-    if key not in cfg or cfg[key] is None:
-        return None
+def _load_config(path: Path | None) -> dict:
+    if path is None:
+        return {}
     try:
-        return float(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be a number") from None
-
-
-def _as_int(cfg: dict, key: str, default: int) -> int:
-    if key not in cfg or cfg[key] is None:
-        return default
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return int(value)
-
-
-def _grid_from_config(value: Any, key: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"config key {key!r} must be a [start, stop, count] triple")
-    a, b, n = float(value[0]), float(value[1]), int(value[2])
-    if n < 1:
-        raise ConfigError(f"config key {key!r} needs a count of at least 1")
-    return np.linspace(a, b, n)
-
-
-def _grid_from_flag(text: str, flag: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"flag {flag} expects the form a:b:n")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"flag {flag} expects the form a:b:n") from None
-    if n < 1:
-        raise ConfigError(f"flag {flag} needs a count of at least 1")
-    return np.linspace(a, b, n)
-
-
-def _parse_path(value: Any) -> PlanarPath:
-    if not isinstance(value, dict) or "vertices" not in value:
-        raise ConfigError("config key 'path' must be an object with a 'vertices' list")
-    try:
-        return PlanarPath(np.asarray(value["vertices"], dtype=float), bool(value.get("closed", False)))
-    except ValueError as exc:
-        raise ConfigError(f"config key 'path' is invalid: {exc}") from None
-
-
-def _parse_packet(value: Any, units) -> GaussianPacket:
-    if not isinstance(value, dict):
-        raise ConfigError("config key 'packet' must be an object")
-    try:
-        return GaussianPacket(
-            x0=float(value["x0"]),
-            v=float(value.get("v", 0.0)),
-            sigma0=float(value["sigma0"]),
-            m=float(value.get("m", units.m)),
-            hbar=float(value.get("hbar", units.hbar)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"packet is missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(f"config key 'packet' is invalid: {exc}") from None
-
-
-def _parse_region(value: Any) -> RegionInterval:
-    if not isinstance(value, dict):
-        raise ConfigError("config key 'region' must be an object")
-    try:
-        return RegionInterval(float(value["x_min"]), float(value["x_max"]))
-    except KeyError as exc:
-        raise ConfigError(f"region is missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(f"config key 'region' is invalid: {exc}") from None
+        cfg = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser goes
+        raise ConfigError(f"config file is not valid JSON: {exc!r}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg
 
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
-    """Merge the config file with flag overrides and validate the result."""
-    cfg: dict = {}
-    if args.config is not None:
-        try:
-            cfg = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+    """Merge the flags into the config file's keys and read the result.
 
-    mode = args.mode or cfg.get("mode")
+    Every value goes through the typed readers of ConfigObject, so a flag
+    and its config key are validated alike; keys left out take the Scenario
+    defaults.
+    """
+    cfg = _load_config(args.config)
+    cfg.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
+    unknown = sorted(set(cfg) - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+
+    mode = cfg.get("mode")
     if mode not in MODES:
         raise ConfigError(f"config key 'mode' must be one of {', '.join(MODES)}; got {mode!r}")
-    out = args.out or cfg.get("out")
-    if out is None:
-        raise ConfigError("config key 'out' is required")
-    fmt = args.fmt or cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
+    out = cfg.get("out")
+    if not isinstance(out, str) or not out:
+        raise ConfigError("config key 'out' is required and must be a file path")
+    fmt = cfg.get("format")
+    if fmt not in (None, "csv", "json"):
         raise ConfigError(f"config key 'format' must be 'csv' or 'json', got {fmt!r}")
 
-    field_cfg = FieldConfig.from_dict(cfg["field"]) if cfg.get("field") is not None else None
-    units = field_cfg.units if field_cfg is not None else None
-
-    azimuth = _as_float(cfg, "azimuth")
-    k_sigma = _as_float(cfg, "k_sigma")
-    scenario = Scenario(
-        mode=mode,
-        out=Path(out),
-        fmt=fmt,
-        field=field_cfg,
-        theta=args.theta if args.theta is not None else _as_float(cfg, "theta"),
-        azimuth=0.0 if azimuth is None else azimuth,
-        phi_d=args.phi_d if args.phi_d is not None else _as_float(cfg, "phi_d"),
-        phi=_as_float(cfg, "phi"),
-        visibility=_as_float(cfg, "visibility"),
-        path=_parse_path(cfg["path"]) if cfg.get("path") is not None else None,
-        chi_samples=args.chi_samples
-        if args.chi_samples is not None
-        else _as_int(cfg, "chi_samples", 64),
-        t_max=_as_float(cfg, "t_max"),
-        n_t=_as_int(cfg, "n_t", 101),
-        n_sub=_as_int(cfg, "n_sub", 32),
-        solid_angle_steps=_as_int(cfg, "solid_angle_steps", 2048),
-        packet=_parse_packet(cfg["packet"], units or UnitSystem()) if cfg.get("packet") is not None else None,
-        region=_parse_region(cfg["region"]) if cfg.get("region") is not None else None,
-        velocities=[float(v) for v in cfg["velocities"]] if cfg.get("velocities") is not None else None,
-        k_sigma=5.0 if k_sigma is None else k_sigma,
-    )
-
-    if args.grid_theta is not None:
-        scenario.grid_theta = _grid_from_flag(args.grid_theta, "--grid-theta")
-    elif cfg.get("grid_theta") is not None:
-        scenario.grid_theta = _grid_from_config(cfg["grid_theta"], "grid_theta")
-    if args.grid_phid is not None:
-        scenario.grid_phid = _grid_from_flag(args.grid_phid, "--grid-phid")
-    elif cfg.get("grid_phid") is not None:
-        scenario.grid_phid = _grid_from_config(cfg["grid_phid"], "grid_phid")
+    root = ConfigObject(cfg)
+    field = cfg.get("field")
+    field = None if field is None else FieldConfig.from_dict(field, "field")
+    units = field.units if field is not None else UnitSystem()
+    values: dict[str, Any] = {"mode": mode, "out": Path(out), "format": fmt, "field": field}
+    for key in ("theta", "azimuth", "phi_d", "phi", "visibility", "t_max", "k_sigma"):
+        values[key] = root.number(key, None)
+    for key, low in (("chi_samples", 3), ("n_t", 1), ("n_sub", 1), ("solid_angle_steps", 2)):
+        values[key] = root.count(key, None, low)
+    values["grid_theta"] = root.grid("grid_theta", None)
+    values["grid_phid"] = root.grid("grid_phid", None)
+    values["velocities"] = root.numbers("velocities", None)
+    path = cfg.get("path")
+    values["path"] = None if path is None else PlanarPath.from_dict(path, "path")
+    packet = root.object("packet", None)
+    if packet is not None:
+        values["packet"] = packet.build(
+            GaussianPacket,
+            x0=packet.number("x0"),
+            v=packet.number("v", 0.0),
+            sigma0=packet.number("sigma0"),
+            m=packet.number("m", units.m),
+            hbar=packet.number("hbar", units.hbar),
+        )
+    region = root.object("region", None)
+    if region is not None:
+        values["region"] = region.build(RegionInterval, region.number("x_min"), region.number("x_max"))
 
     if args.degrees:
         factor = math.pi / 180.0
         for key in _ANGLE_KEYS:
-            value = getattr(scenario, key)
-            if value is not None:
-                setattr(scenario, key, value * factor)
-        if scenario.grid_theta is not None:
-            scenario.grid_theta = scenario.grid_theta * factor
-        if scenario.grid_phid is not None:
-            scenario.grid_phid = scenario.grid_phid * factor
-    return scenario
+            if values[key] is not None:
+                values[key] = values[key] * factor
+    return Scenario(**{key: value for key, value in values.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def grid(text: str) -> list[float]:
+        return [float(part) for part in text.split(":")]
+
     parser = argparse.ArgumentParser(
         prog="spinphase",
         description="Precession and two-path interference simulations for planar dipole setups.",
     )
     parser.add_argument("--mode", choices=MODES, help="scenario to run (overrides the config file)")
     parser.add_argument("--config", type=Path, help="JSON scenario config file")
-    parser.add_argument("--out", type=Path, help="output file path")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
+    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--theta", type=float, help="initial tilt from +z (radians)")
     parser.add_argument("--phi-d", dest="phi_d", type=float, help="ideal phase difference (radians)")
-    parser.add_argument("--grid-theta", dest="grid_theta", help="theta sweep grid as a:b:n")
-    parser.add_argument("--grid-phid", dest="grid_phid", help="phi_D sweep grid as a:b:n")
+    parser.add_argument("--grid-theta", dest="grid_theta", type=grid, help="theta sweep grid as a:b:n")
+    parser.add_argument("--grid-phid", dest="grid_phid", type=grid, help="phi_D sweep grid as a:b:n")
     parser.add_argument("--chi-samples", dest="chi_samples", type=int, help="number of chi-scan samples")
     parser.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
     return parser
@@ -526,20 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = build_scenario(args)
-        return run(scenario)
+        return run(build_scenario(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        SingularPoint,
-        StepTooLarge,
-        UndefinedPhase,
-        SingularInversion,
-        GeodesicAmbiguous,
-        NotNormalized,
-        InsufficientSamples,
-    ) as exc:
+    except SpinPhaseError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

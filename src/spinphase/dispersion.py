@@ -39,6 +39,9 @@ class GaussianPacket:
             raise ValueError("m must be positive")
         if self.hbar < 0.0:
             raise ValueError("hbar must be nonnegative")
+        # packet_at divides by 2 m sigma0**2; keep it a positive finite float
+        if not 0.0 < 2.0 * self.m * (self.sigma0 * self.sigma0) < math.inf:
+            raise ValueError("sigma0 is out of range: 2 m sigma0^2 must be a positive finite number")
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,19 @@ counterclockwise loop equals lambda_enc / (eps0 c^2) by Gauss's law,
 independent of the loop shape.
 
 Default units are natural (hbar = c = eps0 = 1).
+
+Scenario configs enter through ``ConfigObject``: every value is read by one of
+a few typed, finite-only readers, and every rejection is a ConfigError naming
+the value's key path, e.g. ``field.charges[0].x``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,6 +31,106 @@ from .errors import ConfigError, SingularPoint
 SINGULAR_DISTANCE = 1e-9
 
 TWO_PI = 2.0 * math.pi
+
+#: Cap on the point count of each sweep grid axis.
+MAX_GRID_COUNT = 1_000
+
+#: Cap on every other config count: n_t, chi_samples, n_sub,
+#: solid_angle_steps, and the lengths of the velocity, vertex and charge lists.
+MAX_COUNT = 100_000
+
+_REQUIRED = object()
+
+
+def _number(value: Any, key: str) -> float:
+    # ints compare exactly, so NaN, +-inf and integers beyond the float range all fail
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be a finite number")
+    return float(value)
+
+
+def _count(value: Any, key: str, low: int, cap: int) -> int:
+    x = _number(value, key)
+    if not x.is_integer() or not low <= x <= cap:
+        raise ConfigError(f"config key {key!r} must be an integer from {low} to {cap}")
+    return int(x)
+
+
+def _entries(value: Any, key: str) -> list[tuple[str, Any]]:
+    if not isinstance(value, list) or len(value) > MAX_COUNT:
+        raise ConfigError(f"config key {key!r} must be a list of at most {MAX_COUNT} entries")
+    return [(f"{key}[{i}]", item) for i, item in enumerate(value)]
+
+
+def _grid(value: Any, key: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"config key {key!r} must be a [start, stop, count] triple")
+    start, stop = _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
+    grid = np.linspace(start, stop, _count(value[2], f"{key}[2]", 1, MAX_GRID_COUNT))
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"config key {key!r} spans more than the float range")
+    return grid
+
+
+class ConfigObject:
+    """One JSON object of a scenario config, read one typed value at a time.
+
+    ``path`` is the object's key path ("" at the top level). Numbers must be
+    finite JSON numbers, not strings or bools; counts must be integers within
+    their caps. A key that is absent or null reads as ``default``, and is
+    rejected as required when no default is given.
+    """
+
+    def __init__(self, data: Any, path: str = ""):
+        if not isinstance(data, dict):
+            raise ConfigError(f"config key {path!r} must be an object")
+        self.data = data
+        self.path = path
+
+    def key(self, name: str) -> str:
+        return f"{self.path}.{name}" if self.path else name
+
+    def _read(self, name: str, default: Any, reader: Callable[[Any, str], Any]) -> Any:
+        value = self.data.get(name)
+        if value is not None:
+            return reader(value, self.key(name))
+        if default is _REQUIRED:
+            raise ConfigError(f"config key {self.key(name)!r} is required")
+        return default
+
+    def number(self, name: str, default: Any = _REQUIRED) -> float:
+        return self._read(name, default, _number)
+
+    def count(self, name: str, default: Any = _REQUIRED, low: int = 1) -> int:
+        return self._read(name, default, lambda value, key: _count(value, key, low, MAX_COUNT))
+
+    def object(self, name: str, default: Any = _REQUIRED) -> "ConfigObject":
+        return self._read(name, default, ConfigObject)
+
+    def entries(self, name: str, default: Any = _REQUIRED) -> list[tuple[str, Any]]:
+        """(key path, value) of each entry of a list."""
+        return self._read(name, default, _entries)
+
+    def numbers(self, name: str, default: Any = _REQUIRED) -> list[float]:
+        return self._read(
+            name, default, lambda value, key: [_number(x, where) for where, x in _entries(value, key)]
+        )
+
+    def grid(self, name: str, default: Any = _REQUIRED) -> np.ndarray:
+        """np.linspace(a, b, n) of an [a, b, n] triple."""
+        return self._read(name, default, _grid)
+
+    def build(self, cls: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """cls(*args, **kwargs), its ValueError reported as a ConfigError.
+
+        Constructors start each validation message with the offending
+        attribute ("hbar must be ..."), so the report names its full key path.
+        """
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"config key {self.key(name)!r} {rest}") from None
 
 
 @dataclass(frozen=True)
@@ -52,6 +157,8 @@ class UnitSystem:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if not math.isfinite(self.Gamma) or self.Gamma == 0.0:
             raise ValueError(f"Gamma must be finite and nonzero, got {self.Gamma}")
+        if not math.isfinite(self.c * self.c):
+            raise ValueError(f"c must have a finite square, got {self.c}")
 
     def to_dict(self) -> dict:
         return {
@@ -64,12 +171,9 @@ class UnitSystem:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "UnitSystem":
-        try:
-            values = {k: float(data[k]) for k in ("hbar", "c", "eps0", "mu", "Gamma", "m")}
-        except KeyError as exc:
-            raise ConfigError(f"units is missing key {exc.args[0]!r}") from None
-        return cls(**values)
+    def from_dict(cls, data: dict, path: str = "units") -> "UnitSystem":
+        obj = ConfigObject(data, path)
+        return obj.build(cls, **{k: obj.number(k) for k in ("hbar", "c", "eps0", "mu", "Gamma", "m")})
 
 
 @dataclass(frozen=True)
@@ -121,6 +225,9 @@ class SmoothBumpPulse:
             raise ValueError("t_on must be earlier than t_off")
         if not 0.0 < self.ramp <= 0.5 * (self.t_off - self.t_on):
             raise ValueError("ramp must be positive and at most half the pulse duration")
+        # field_at evaluates cos(pi (t - t_on) / ramp) with t - t_on up to ramp
+        if not math.isfinite(TWO_PI * self.ramp):
+            raise ValueError("ramp is out of range: 2 pi ramp must be a finite number")
 
     def field_at(self, t: float) -> float:
         if t <= self.t_on or t >= self.t_off:
@@ -159,18 +266,14 @@ class SmoothBumpPulse:
 PulseProfile = Union[RectangularPulse, SmoothBumpPulse]
 
 
-def pulse_from_dict(data: dict) -> PulseProfile:
+def pulse_from_dict(data: dict, path: str = "pulse") -> PulseProfile:
+    obj = ConfigObject(data, path)
     shape = data.get("shape")
-    try:
-        if shape == "rectangular":
-            return RectangularPulse(float(data["B0"]), float(data["t_on"]), float(data["t_off"]))
-        if shape == "smooth-bump":
-            return SmoothBumpPulse(
-                float(data["B0"]), float(data["t_on"]), float(data["t_off"]), float(data["ramp"])
-            )
-    except KeyError as exc:
-        raise ConfigError(f"pulse is missing key {exc.args[0]!r}") from None
-    raise ConfigError(f"pulse.shape must be 'rectangular' or 'smooth-bump', got {shape!r}")
+    if shape == "rectangular":
+        return obj.build(RectangularPulse, *(obj.number(k) for k in ("B0", "t_on", "t_off")))
+    if shape == "smooth-bump":
+        return obj.build(SmoothBumpPulse, *(obj.number(k) for k in ("B0", "t_on", "t_off", "ramp")))
+    raise ConfigError(f"config key {obj.key('shape')!r} must be 'rectangular' or 'smooth-bump'")
 
 
 def pulse_integral_B(pulse: PulseProfile, t0: float, t1: float) -> float:
@@ -217,10 +320,10 @@ class PlanarPath:
     def __post_init__(self) -> None:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
-            raise ValueError("a path needs at least two x-y vertices")
+            raise ValueError("vertices must hold at least two x-y points")
         object.__setattr__(self, "vertices", v)
         if self.closed and not np.allclose(v[0], v[-1], rtol=0.0, atol=1e-12):
-            raise ValueError("a closed path must end where it starts")
+            raise ValueError("closed requires the path to end where it starts")
 
     @property
     def n_segments(self) -> int:
@@ -231,6 +334,19 @@ class PlanarPath:
 
     def reversed(self) -> "PlanarPath":
         return PlanarPath(self.vertices[::-1].copy(), closed=self.closed)
+
+    @classmethod
+    def from_dict(cls, data: dict, path: str = "path") -> "PlanarPath":
+        obj = ConfigObject(data, path)
+        vertices = []
+        for key, vertex in obj.entries("vertices"):
+            if not isinstance(vertex, list) or len(vertex) != 2:
+                raise ConfigError(f"config key {key!r} must be an [x, y] pair")
+            vertices.append([_number(vertex[0], f"{key}[0]"), _number(vertex[1], f"{key}[1]")])
+        closed = data.get("closed", False)
+        if closed is not None and not isinstance(closed, bool):
+            raise ConfigError(f"config key {obj.key('closed')!r} must be true or false")
+        return obj.build(cls, np.asarray(vertices, dtype=float), bool(closed))
 
     @classmethod
     def line(cls, start: Sequence[float], end: Sequence[float]) -> "PlanarPath":
@@ -279,18 +395,18 @@ class FieldConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FieldConfig":
+    def from_dict(cls, data: dict, path: str = "field") -> "FieldConfig":
+        obj = ConfigObject(data, path)
         charges = []
-        for i, entry in enumerate(data.get("charges", [])):
-            try:
-                charges.append(LineCharge(float(entry["x"]), float(entry["y"]), float(entry["lambda"])))
-            except KeyError as exc:
-                raise ConfigError(f"charges[{i}] is missing key {exc.args[0]!r}") from None
-        pulse = None
-        if data.get("pulse") is not None:
-            pulse = pulse_from_dict(data["pulse"])
-        units = UnitSystem.from_dict(data["units"]) if "units" in data else UnitSystem()
-        return cls(charges=charges, pulse=pulse, units=units)
+        for key, entry in obj.entries("charges", []):
+            charge = ConfigObject(entry, key)
+            charges.append(LineCharge(charge.number("x"), charge.number("y"), charge.number("lambda")))
+        pulse, units = data.get("pulse"), data.get("units")
+        return cls(
+            charges=charges,
+            pulse=None if pulse is None else pulse_from_dict(pulse, obj.key("pulse")),
+            units=UnitSystem() if units is None else UnitSystem.from_dict(units, obj.key("units")),
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -65,10 +65,16 @@ class TestSabClosedForm:
 class TestSabIntegrator:
     def test_matches_closed_form(self):
         d0 = ClassicalDipole(mu=1.0, theta=math.pi / 2)
-        pulse = RectangularPulse(1.0, 0.0, math.pi / 2)
-        ref = precess_sab_closed_form(d0, pulse, math.pi / 2, GAMMA_ONE)
-        got = integrate_precession_sab(d0, pulse, math.pi / 2, 1e-4, GAMMA_ONE)
-        np.testing.assert_allclose(got.vector, ref.vector, atol=1e-8)
+        cases = [
+            (RectangularPulse(1.0, 0.0, math.pi / 2), math.pi / 2, 1e-4),
+            # t_on + n h rounds past t_off on this step grid; the last RK4
+            # stage must still read the field at t_off
+            (RectangularPulse(1.0, 0.25935401432800764, 1.5452288259887232), 2.0, 0.004),
+        ]
+        for pulse, t, dt in cases:
+            ref = precess_sab_closed_form(d0, pulse, t, GAMMA_ONE)
+            got = integrate_precession_sab(d0, pulse, t, dt, GAMMA_ONE)
+            np.testing.assert_allclose(got.vector, ref.vector, atol=1e-8)
 
     def test_zero_field_is_identity(self):
         d0 = ClassicalDipole(mu=2.0, theta=1.0, azimuth=0.5)
