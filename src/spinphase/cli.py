@@ -389,11 +389,19 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
     return Scenario(**{key: value for key, value in values.items() if value is not None})
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a malformed or unknown flag as a
+    ConfigError naming it, so main exits 2 instead of raising SystemExit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     def grid(text: str) -> list[float]:
         return [float(part) for part in text.split(":")]
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spinphase",
         description="Precession and two-path interference simulations for planar dipole setups.",
     )
@@ -411,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run(build_scenario(args))
+        return run(build_scenario(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -66,10 +66,10 @@ def _grid(value: Any, key: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"config key {key!r} must be a [start, stop, count] triple")
     start, stop = _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
-    grid = np.linspace(start, stop, _count(value[2], f"{key}[2]", 1, MAX_GRID_COUNT))
-    if not np.isfinite(grid).all():
+    count = _count(value[2], f"{key}[2]", 1, MAX_GRID_COUNT)
+    if not math.isfinite(stop - start):
         raise ConfigError(f"config key {key!r} spans more than the float range")
-    return grid
+    return np.linspace(start, stop, count)
 
 
 class ConfigObject:
@@ -474,6 +474,41 @@ def divergence_E(cfg: FieldConfig, p, h: float = 1e-4) -> float:
     return float((ddx + ddy) / (2.0 * h))
 
 
+def _midpoint_rule(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, n_sub: int) -> np.ndarray:
+    """Integral of A . dr along each straight segment starts[i] -> ends[i].
+
+    Each segment is split into ``n_sub`` equal pieces sampled at their
+    midpoints (composite midpoint rule); one eval_A call covers every sample.
+
+    Raises
+    ------
+    SingularPoint
+        If a segment's start, end or sample point comes within
+        SINGULAR_DISTANCE of a charge; the error carries the index of the
+        segment (for a vertex shared by two segments, the one it starts).
+    """
+    if n_sub < 1:
+        raise ValueError("n_sub must be at least 1")
+    deltas = ends - starts
+    t = (np.arange(n_sub) + 0.5) / n_sub
+    pts = starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
+    flat = pts.reshape(-1, 2)
+    endpoints = np.concatenate([starts, ends])
+    for charge in cfg.charges:
+        dv = endpoints - charge.position
+        rv2 = dv[:, 0] ** 2 + dv[:, 1] ** 2
+        if np.any(rv2 < SINGULAR_DISTANCE**2):
+            k = int(np.argmin(rv2))
+            raise SingularPoint(endpoints[k], segment=k % len(starts))
+        diff = flat - charge.position
+        r2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        if np.any(r2 < SINGULAR_DISTANCE**2):
+            k = int(np.argmin(r2))
+            raise SingularPoint(flat[k], segment=k // n_sub)
+    A = eval_A(cfg, flat).reshape(pts.shape)
+    return np.einsum("snk,sk->s", A, deltas) / n_sub
+
+
 def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> float:
     """Line integral of A along the polyline by composite midpoint quadrature.
 
@@ -488,25 +523,5 @@ def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> floa
         If any path vertex or sample point comes within SINGULAR_DISTANCE of
         a charge; the error carries the offending segment index.
     """
-    if n_sub < 1:
-        raise ValueError("n_sub must be at least 1")
     verts = path.vertices
-    starts = verts[:-1]
-    deltas = np.diff(verts, axis=0)
-    t = (np.arange(n_sub) + 0.5) / n_sub
-    pts = starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
-    flat = pts.reshape(-1, 2)
-    for charge in cfg.charges:
-        dv = verts - charge.position
-        rv2 = dv[:, 0] ** 2 + dv[:, 1] ** 2
-        if np.any(rv2 < SINGULAR_DISTANCE**2):
-            k = int(np.argmin(rv2))
-            raise SingularPoint(verts[k], segment=min(k, len(verts) - 2))
-        diff = flat - charge.position
-        r2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        if np.any(r2 < SINGULAR_DISTANCE**2):
-            k = int(np.argmin(r2))
-            raise SingularPoint(flat[k], segment=k // n_sub)
-    A = eval_A(cfg, flat).reshape(pts.shape)
-    contrib = np.einsum("snk,sk->s", A, deltas) / n_sub
-    return float(contrib.sum())
+    return float(_midpoint_rule(cfg, verts[:-1], verts[1:], n_sub).sum())

@@ -23,8 +23,63 @@ from spinphase import (
     precess_ac_closed_form,
     precess_sab_closed_form,
 )
+from spinphase.classical import MAX_NORM_DRIFT, RATE_BLOCK_STEPS
+from spinphase.fields import eval_A
 
 GAMMA_ONE = UnitSystem(Gamma=1.0)
+
+
+# --------------------------------------------------------------------------
+# independent reference: per-stage RK4 with a callable rate, four rate calls
+# per step on numpy vectors, each A . v rate through its own eval_A call
+
+
+def _torque(rate, m):
+    return rate * np.array([m[1], -m[0], 0.0])
+
+
+def rk4_reference(m, mu0, rate, t0, t1, dt):
+    span = t1 - t0
+    n = max(1, math.ceil(span / dt - 1e-12))
+    h = span / n
+    for k in range(n):
+        t = t0 + k * h
+        t_end = t0 + (k + 1) * h if k + 1 < n else t1
+        k1 = _torque(rate(t), m)
+        k2 = _torque(rate(t + 0.5 * h), m + 0.5 * h * k1)
+        k3 = _torque(rate(t + 0.5 * h), m + 0.5 * h * k2)
+        k4 = _torque(rate(t_end), m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nrm = float(np.linalg.norm(m))
+        if abs(nrm - mu0) > MAX_NORM_DRIFT * mu0:
+            raise StepTooLarge("drift")
+        m = m * (mu0 / nrm)
+    return m
+
+
+def sab_reference(dipole, pulse, t, dt, units):
+    knots = sorted({0.0, t, *(k for k in pulse.knots() if 0.0 < k < t)})
+    m = dipole.vector
+    for a, b in zip(knots[:-1], knots[1:]):
+        if b > pulse.t_on and a < pulse.t_off:
+            m = rk4_reference(m, dipole.mu, lambda s: units.Gamma * pulse.field_at(s), a, b, dt)
+    return m
+
+
+def ac_reference(dipole, cfg, kin, dt):
+    verts = kin.path.vertices
+    m = dipole.vector
+    for i in range(kin.path.n_segments):
+        a, d = verts[i], verts[i + 1] - verts[i]
+        length = float(np.linalg.norm(d))
+        speed = float(kin.speeds[i])
+        v, tau = (speed / length) * d, length / speed
+
+        def rate(s, a=a, d=d, tau=tau, v=v):
+            return cfg.units.Gamma * float(eval_A(cfg, a + (s / tau) * d) @ v)
+
+        m = rk4_reference(m, dipole.mu, rate, 0.0, tau, dt)
+    return m
 
 
 @pytest.fixture
@@ -114,6 +169,80 @@ class TestSabIntegrator:
         pulse = RectangularPulse(1000.0, 0.0, 1.0)
         with pytest.raises(StepTooLarge):
             integrate_precession_sab(d0, pulse, 1.0, 0.5, GAMMA_ONE)
+
+
+class TestBatchedRatesMatchReference:
+    """The batched-rate integrators against the per-stage reference above.
+
+    The arithmetic of every step is the same; only the norm and the A . v
+    products may round differently, so the finals agree to 1e-13.
+    """
+
+    @pytest.mark.parametrize(
+        "charges",
+        [
+            [(0.0, 0.0, 1.0)],
+            [(0.2, -0.1, 0.7), (3.0, 0.5, -1.3)],
+            [(0.0, 0.3, 0.4), (-2.5, 0.0, 1.1), (0.1, 2.4, -0.6)],
+        ],
+        ids=["one-charge", "two-charges", "three-charges"],
+    )
+    def test_ac_alternating_speeds(self, charges):
+        cfg = FieldConfig(charges=[LineCharge(*c) for c in charges], units=UnitSystem(Gamma=1.7))
+        loop = PlanarPath.circle((0.1, 0.0), 1.4, 12)
+        arc = PlanarPath(loop.vertices[:8])
+        d0 = ClassicalDipole(mu=1.3, theta=0.9, azimuth=0.4)
+        for path in (loop, arc):
+            speeds = np.where(np.arange(path.n_segments) % 2 == 0, 0.4, 2.5)
+            kin = KinematicPath(path, speeds)
+            got = integrate_precession_ac(d0, cfg, kin, 7e-3).vector
+            np.testing.assert_allclose(got, ac_reference(d0, cfg, kin, 7e-3), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "pulse, t, dt",
+        [
+            (SmoothBumpPulse(2.0, 0.2, 1.4, 0.3), 2.0, 1e-3),
+            (RectangularPulse(1.0, 0.0, math.pi / 2), math.pi / 2, 1e-3),
+            # integrated past t_off, with t_on + n h rounding past t_off
+            (RectangularPulse(1.0, 0.25935401432800764, 1.5452288259887232), 2.0, 0.004),
+        ],
+        ids=["smooth", "rectangular", "past-t-off"],
+    )
+    def test_sab(self, pulse, t, dt):
+        units = UnitSystem(Gamma=1.5)
+        d0 = ClassicalDipole(mu=1.0, theta=1.1, azimuth=-0.2)
+        got = integrate_precession_sab(d0, pulse, t, dt, units).vector
+        np.testing.assert_allclose(got, sab_reference(d0, pulse, t, dt, units), rtol=0.0, atol=1e-13)
+
+    def test_segment_longer_than_a_block(self, unit_charge):
+        # 2.5 blocks of steps on one segment and in one pulse window: the
+        # block boundaries must neither drop nor repeat a stage
+        n_steps = 5 * RATE_BLOCK_STEPS // 2
+        path = PlanarPath.line([2.0, -1.0], [0.5, 2.0])
+        kin = KinematicPath.uniform(path, 1.0)
+        dt = float(path.segment_lengths()[0]) / n_steps
+        d0 = ClassicalDipole(mu=1.0, theta=1.2, azimuth=0.3)
+        got = integrate_precession_ac(d0, unit_charge, kin, dt).vector
+        np.testing.assert_allclose(got, ac_reference(d0, unit_charge, kin, dt), rtol=0.0, atol=1e-13)
+        pulse = SmoothBumpPulse(1.0, 0.0, 1.0, 0.5)
+        got = integrate_precession_sab(d0, pulse, 1.0, 0.5 / n_steps, GAMMA_ONE).vector
+        ref = sab_reference(d0, pulse, 1.0, 0.5 / n_steps, GAMMA_ONE)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+
+    def test_ac_step_too_large(self, unit_charge):
+        path = PlanarPath.line([0.05, -1.0], [0.05, 1.0])
+        kin = KinematicPath.uniform(path, 1.0)
+        with pytest.raises(StepTooLarge):
+            ac_reference(ClassicalDipole(theta=math.pi / 2), unit_charge, kin, 0.5)
+        with pytest.raises(StepTooLarge, match="reduce dt"):
+            integrate_precession_ac(ClassicalDipole(theta=math.pi / 2), unit_charge, kin, 0.5)
+
+    def test_non_finite_moment_raises(self):
+        # an infinite rate makes the aligned moment NaN; that is a failed
+        # step, not a result
+        pulse = RectangularPulse(1e308, 0.0, 1.0)
+        with pytest.raises(StepTooLarge):
+            integrate_precession_sab(ClassicalDipole(theta=0.0), pulse, 1.0, 0.1, UnitSystem(Gamma=10.0))
 
 
 class TestAcClosedForm:

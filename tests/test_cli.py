@@ -483,6 +483,30 @@ class TestErrors:
         assert main(["--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--theta", "abc"], "--theta"),
+            (["--grid-theta", "0:x:5"], "--grid-theta"),
+            (["--chi-samples", "2.5"], "--chi-samples"),
+            (["--mode", "nope"], "--mode"),
+            (["--bogus"], "--bogus"),
+        ],
+        ids=["theta-text", "grid-entry-text", "count-fraction", "mode-choice", "unknown-flag"],
+    )
+    def test_malformed_flag_returns_2(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, "cfg.json", dict(INTERFERE, out=str(out)))
+        assert main(["--config", str(cfg), *flags]) == 2  # a SystemExit would fail the test
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "--grid-theta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "config, flags, key",
         [case[1:] for case in REJECTIONS],
         ids=[case[0] for case in REJECTIONS],

@@ -14,6 +14,7 @@ from spinphase import (
     NotNormalized,
     PlanarPath,
     RectangularPulse,
+    SingularPoint,
     SmoothBumpPulse,
     Spinor,
     UnitSystem,
@@ -27,6 +28,7 @@ from spinphase import (
     spinor_from_angles,
     verify_gauge_cancellation,
 )
+from spinphase.fields import eval_A
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -203,3 +205,51 @@ class TestGaugeCancellation:
         coarse = verify_gauge_cancellation(cfg, arc, fd_step=1e-2)
         fine = verify_gauge_cancellation(cfg, arc, fd_step=1e-3)
         assert coarse / fine == pytest.approx(100.0, rel=0.3)
+
+    def test_equals_per_midpoint_loop(self):
+        # per-midpoint loop oracle: one 2-vertex sub-path per midpoint and
+        # axis, each through ac_precession_angle; exact equality, over enough
+        # random arcs that a last-bit rounding change shows
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            units = UnitSystem(hbar=rng.uniform(0.5, 2.0), mu=rng.uniform(0.5, 2.0))
+            charges = [
+                LineCharge(*rng.uniform(-0.5, 0.5, 2), rng.uniform(-1.0, 1.0)) for _ in range(rng.integers(1, 4))
+            ]
+            cfg = FieldConfig(charges=charges, units=units)
+            phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(2, 20))))
+            arc = PlanarPath(rng.uniform(1.5, 3.0) * np.stack([np.cos(phis), np.sin(phis)], axis=1))
+            fd_step, n_sub = 10.0 ** rng.uniform(-6, -2), int(rng.integers(1, 40))
+            worst = 0.0
+            for p in 0.5 * (arc.vertices[:-1] + arc.vertices[1:]):
+                grad = np.empty(2)
+                for axis in range(2):
+                    step = np.zeros(2)
+                    step[axis] = fd_step
+                    seg = PlanarPath(np.array([p - step, p + step]))
+                    grad[axis] = ac_precession_angle(cfg, seg, units=units, n_sub=n_sub) / (2.0 * fd_step)
+                resid = 0.5 * units.hbar * grad + units.mu * eval_A(cfg, p)
+                worst = max(worst, float(np.linalg.norm(resid)))
+            assert verify_gauge_cancellation(cfg, arc, fd_step=fd_step, n_sub=n_sub) == worst, seed
+
+    def test_midpoint_on_charge_raises(self):
+        cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
+        path = PlanarPath(np.array([[2.0, 2.0], [1.0, 1.0], [-1.0, -1.0]]))  # second midpoint at the charge
+        with pytest.raises(SingularPoint):
+            verify_gauge_cancellation(cfg, path)
+
+    def test_stencil_end_on_charge_raises(self):
+        fd_step = 1e-3
+        cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
+        # the third midpoint sits fd_step to the right of the charge, so its
+        # x stencil starts on it
+        path = PlanarPath(np.array([[3.0, 1.0], [2.0, 1.0], [fd_step - 1.0, -1.0], [fd_step + 1.0, 1.0]]))
+        with pytest.raises(SingularPoint) as excinfo:
+            verify_gauge_cancellation(cfg, path, fd_step=fd_step)
+        assert excinfo.value.segment == 2
+
+    @pytest.mark.parametrize("kwargs", [{"fd_step": 0.0}, {"n_sub": 0}], ids=["fd-step-zero", "n-sub-zero"])
+    def test_rejects_degenerate_stencil(self, kwargs):
+        cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
+        with pytest.raises(ValueError):
+            verify_gauge_cancellation(cfg, PlanarPath.line([1.0, 0.0], [0.0, 1.0]), **kwargs)
