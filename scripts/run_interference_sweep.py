@@ -20,7 +20,6 @@ def run(outdir: Path) -> int:
         "mode": "sweep",
         "grid_theta": [0.0, math.pi, 25],
         "grid_phid": [-math.pi, math.pi, 49],
-        "solid_angle_steps": 4096,
         "out": str(outdir / "interference_sweep.csv"),
     }
     cfg_path = outdir / "interference_sweep.json"

@@ -19,7 +19,7 @@ Phases live on the circle (-pi, pi]; compare them with circular_distance.
 
 Sign convention for the solid angle: the relative rotation implied by
 arg<s_d|s_u> sweeps the Bloch azimuth from 0 to -2 phi_D, so
-solid_angle_geodesic_closed evaluates the polygon with that traversal's
+solid_angle_geodesic_closed reports the enclosed area with that traversal's
 right-handed orientation. This is a convention pinned by the identity
 gamma_geo = -Omega/2, not a derived fact.
 """
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GeodesicAmbiguous, SingularInversion, UndefinedPhase
 from .quantum import Spinor, rotate_z
@@ -192,36 +190,30 @@ def decompose_phase(theta: float, phi_d: float) -> tuple[float, float]:
     return gamma_dyn, gamma_geo
 
 
-def _polygon_solid_angle(verts: np.ndarray) -> float:
-    """Right-handed signed solid angle of a closed spherical polygon.
-
-    Triangle fan about the mean direction, each triangle by the
-
-        omega = 2 atan2(det[c, v1, v2], 1 + c.v1 + v1.v2 + v2.c)
-
-    formula; positive for counterclockwise traversal seen from outside.
-    """
-    center = verts.mean(axis=0)
-    nc = float(np.linalg.norm(center))
-    if nc < 1e-12:
-        raise GeodesicAmbiguous("polygon has no well-defined interior direction")
-    c = center / nc
-    v1 = verts
-    v2 = np.roll(verts, -1, axis=0)
-    triple = np.einsum("ij,ij->i", np.cross(np.broadcast_to(c, v1.shape), v1), v2)
-    denom = 1.0 + v1 @ c + np.einsum("ij,ij->i", v1, v2) + v2 @ c
-    return float(np.sum(2.0 * np.arctan2(triple, denom)))
-
-
 def solid_angle_geodesic_closed(theta: float, delta_azimuth: float, n_steps: int = 10_000) -> float:
     """Solid angle between a Bloch parallel arc and its geodesic closure.
 
     The arc sits at polar angle theta and spans ``delta_azimuth`` (equal to
     2 phi_D for the relative spin path between the arms); the closure is the
-    shortest great-circle arc joining its endpoints. Both curves are
-    discretized with n_steps points and the enclosed area is summed from a
-    triangle fan. The overall sign follows the convention
-    gamma_geo = -Omega/2 (see the module docstring).
+    shortest great-circle arc joining its endpoints A and B. For the northern
+    mirror image (polar angle with |cos theta|) the enclosed area is exact:
+    the cap sector delta (1 - |cos theta|) minus the geodesic triangle
+    (pole, A, B), whose area comes from the Van Oosterom-Strackee formula
+
+        tri = 2 atan2(det[N, A, B], 1 + N.A + A.B + B.N)
+            = 2 atan2(sin^2 theta sin delta, (1 + |cos theta|)^2 + sin^2 theta cos delta).
+
+    For |delta_azimuth| <= 2 pi the magnitude stays below the cap area
+    2 pi (1 - |cos theta|), so the form needs no mod-4 pi wrap, which would
+    tie between +-2 pi at the equator. The reflection z -> -z flips the
+    orientation, and the overall sign follows the convention
+    gamma_geo = -Omega/2 (see the module docstring). A non-finite
+    delta_azimuth gives NaN.
+
+    ``n_steps`` is accepted and checked (>= 2) but has no effect. It sized the
+    triangle fan this exact form replaced, and is kept because its callers
+    still pass it: compute_interference with the CLI key solid_angle_steps,
+    and the perfbench tracer, which counts work from it.
 
     Raises GeodesicAmbiguous if the endpoints are antipodal within 1e-9; for
     |delta_azimuth| >= pi the closure uses the shorter great-circle arc and
@@ -233,20 +225,16 @@ def solid_angle_geodesic_closed(theta: float, delta_azimuth: float, n_steps: int
         raise ValueError("n_steps must be at least 2")
     if delta_azimuth == 0.0:
         return 0.0
+    if not math.isfinite(delta_azimuth):
+        return math.nan
     st, ct = math.sin(theta), math.cos(theta)
-    phis = np.linspace(0.0, delta_azimuth, n_steps)
-    arc = np.stack([st * np.cos(phis), st * np.sin(phis), np.full(n_steps, ct)], axis=1)
-    a, b = arc[0], arc[-1]
-    if float(np.linalg.norm(a + b)) < 1e-9:
+    sin_d, cos_d = math.sin(delta_azimuth), math.cos(delta_azimuth)
+    if math.hypot(st * (1.0 + cos_d), st * sin_d, 2.0 * ct) < 1e-9:
         raise GeodesicAmbiguous("arc endpoints are antipodal; shortest geodesic is not unique")
-    omega_ab = math.acos(max(-1.0, min(1.0, float(a @ b))))
-    if omega_ab < 1e-15:
-        poly = arc
-    else:
-        ts = np.linspace(0.0, 1.0, n_steps)[1:-1]
-        geo = (np.sin((1.0 - ts) * omega_ab)[:, None] * b + np.sin(ts * omega_ab)[:, None] * a) / math.sin(omega_ab)
-        poly = np.vstack([arc, geo])
-    return -_polygon_solid_angle(poly)
+    a = abs(ct)
+    st2 = st * st
+    lens = delta_azimuth * (1.0 - a) - 2.0 * math.atan2(st2 * sin_d, (1.0 + a) ** 2 + st2 * cos_d)
+    return -lens if ct > 0.0 else lens
 
 
 @dataclass(frozen=True)
@@ -280,8 +268,12 @@ class InterferenceResult:
 def compute_interference(theta: float, phi_d: float, n_steps: int = 2048) -> InterferenceResult:
     """Assemble the full observable record at one (theta, phi_D) point.
 
-    The solid angle uses the relative spin path with delta_azimuth = 2 phi_D;
-    at theta = 0 or pi the path degenerates to a point and the angle is 0.
+    The solid angle uses the relative spin path with delta_azimuth = 2 phi_D
+    at the folded polar angle |remainder(theta, 2 pi)|: a tilt outside
+    [0, pi] has the Bloch vector of that polar angle turned by pi in azimuth,
+    and a z-rotation keeps the solid angle. At a folded polar angle of 0 or
+    pi the path degenerates to a point and the angle is 0. ``n_steps`` is
+    passed on to solid_angle_geodesic_closed, where it has no effect.
     """
     visibility = nonideal_visibility(theta, phi_d)
     gamma_dyn = phi_d * math.cos(theta)
@@ -291,11 +283,12 @@ def compute_interference(theta: float, phi_d: float, n_steps: int = 2048) -> Int
     except UndefinedPhase:
         phi = None
         gamma_geo = None
-    if theta <= 0.0 or theta >= math.pi:
+    polar = abs(math.remainder(theta, TWO_PI))
+    if polar <= 0.0 or polar >= math.pi:
         omega: float | None = 0.0
     else:
         try:
-            omega = solid_angle_geodesic_closed(theta, 2.0 * phi_d, n_steps)
+            omega = solid_angle_geodesic_closed(polar, 2.0 * phi_d, n_steps)
         except GeodesicAmbiguous:
             omega = None
     return InterferenceResult(theta, phi_d, phi, visibility, gamma_dyn, gamma_geo, omega)

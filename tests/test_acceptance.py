@@ -130,14 +130,14 @@ def test_criterion_03_inversion_round_trip():
     assert checked > 800
 
 
-@criterion("criterion 4: gamma_geo = -Omega/2 at 1e4 steps (2e-4, < 5 s)")
+@criterion("criterion 4: gamma_geo = -Omega/2 with the exact solid angle (1e-12, < 5 s)")
 def test_criterion_04_geometric_phase_law():
     start = time.perf_counter()
     for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
         for phi_d in (math.pi / 8, math.pi / 4, 3.0 * math.pi / 8):
             _, gamma_geo = decompose_phase(theta, phi_d)
-            omega = solid_angle_geodesic_closed(theta, 2.0 * phi_d, 10_000)
-            assert abs(gamma_geo - (-0.5 * omega)) < 2e-4
+            omega = solid_angle_geodesic_closed(theta, 2.0 * phi_d)
+            assert abs(gamma_geo - (-0.5 * omega)) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"solid-angle oracle took {elapsed:.2f} s"
 

@@ -31,6 +31,7 @@ PHI_REF = 0.6154797086703873
 NU_REF = 0.8660254037844387
 GAMMA_DYN_REF = 0.5553603672697958
 GAMMA_GEO_REF = 0.0601193414005915
+TWO_PI = 2.0 * math.pi
 
 
 def lens_area_oracle(theta, delta):
@@ -56,6 +57,60 @@ def omega_oracle(theta, delta):
         return 0.0
     sign = -math.copysign(1.0, math.cos(theta)) * math.copysign(1.0, delta)
     return sign * lens_area_oracle(theta, abs(delta))
+
+
+def polygon_solid_angle(verts):
+    """Right-handed signed solid angle of a closed spherical polygon.
+
+    Triangle fan about the mean direction, each triangle by the
+
+        omega = 2 atan2(det[c, v1, v2], 1 + c.v1 + v1.v2 + v2.c)
+
+    formula; positive for counterclockwise traversal seen from outside.
+    """
+    center = verts.mean(axis=0)
+    c = center / np.linalg.norm(center)
+    v1 = verts
+    v2 = np.roll(verts, -1, axis=0)
+    triple = np.einsum("ij,ij->i", np.cross(np.broadcast_to(c, v1.shape), v1), v2)
+    denom = 1.0 + v1 @ c + np.einsum("ij,ij->i", v1, v2) + v2 @ c
+    return float(np.sum(2.0 * np.arctan2(triple, denom)))
+
+
+def fan_oracle(theta, delta, n_steps):
+    """Signed solid angle from the discretized arc and geodesic closure.
+
+    The arc and the shortest great-circle arc back to its start are each
+    sampled with n_steps points and summed by polygon_solid_angle; the
+    error falls as n_steps^-2 and stays below (pi / n_steps)^2.
+    """
+    st_, ct_ = math.sin(theta), math.cos(theta)
+    phis = np.linspace(0.0, delta, n_steps)
+    arc = np.stack([st_ * np.cos(phis), st_ * np.sin(phis), np.full(n_steps, ct_)], axis=1)
+    a, b = arc[0], arc[-1]
+    omega_ab = math.acos(max(-1.0, min(1.0, float(a @ b))))
+    if omega_ab < 1e-15:
+        return -polygon_solid_angle(arc)
+    ts = np.linspace(0.0, 1.0, n_steps)[1:-1]
+    geo = (np.sin((1.0 - ts) * omega_ab)[:, None] * b + np.sin(ts * omega_ab)[:, None] * a) / math.sin(omega_ab)
+    return -polygon_solid_angle(np.vstack([arc, geo]))
+
+
+def fan_cases():
+    """Seeded (theta, delta) pairs over the fan oracle's whole range.
+
+    Random theta in (0, pi) and delta in [-2 pi, 2 pi], the linspace tilts
+    closest to pi/2 that a sweep grid produces, and delta = +-2 pi.
+    """
+    rng = np.random.default_rng(17)
+    cases = [(float(t), float(d)) for t, d in zip(rng.uniform(0.0, math.pi, 40), rng.uniform(-TWO_PI, TWO_PI, 40))]
+    near_equator = {float(np.linspace(0.0, math.pi, n)[n // 2]) for n in (3, 5, 7, 9, 11, 101)}
+    for theta in sorted(near_equator) + [0.4, 2.7]:
+        cases += [(theta, d) for d in (-TWO_PI, -4.5, -1.3, 2.2, 3.9, TWO_PI)]
+    return cases
+
+
+EQUATOR_TILTS = (math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0))
 
 
 class TestPancharatnam:
@@ -265,42 +320,83 @@ class TestDecomposition:
 
 class TestSolidAngle:
     def test_equatorial_arc_encloses_nothing(self):
-        assert abs(solid_angle_geodesic_closed(math.pi / 2, 1.0, 2000)) < 1e-9
+        assert abs(solid_angle_geodesic_closed(math.pi / 2, 1.0)) < 1e-15
 
     def test_degenerate_sweep(self):
-        assert solid_angle_geodesic_closed(math.pi / 4, 0.0, 2000) == 0.0
+        assert solid_angle_geodesic_closed(math.pi / 4, 0.0) == 0.0
 
     def test_reference_lens(self):
         # frozen from the closed-form spherical-trig oracle
-        omega = solid_angle_geodesic_closed(math.pi / 4, math.pi / 2, 10_000)
-        assert omega == pytest.approx(-0.120238682801183, abs=1e-6)
-        assert omega == pytest.approx(omega_oracle(math.pi / 4, math.pi / 2), abs=1e-6)
+        omega = solid_angle_geodesic_closed(math.pi / 4, math.pi / 2)
+        assert omega == pytest.approx(-0.120238682801183, abs=1e-12)
+        assert omega == pytest.approx(omega_oracle(math.pi / 4, math.pi / 2), abs=1e-12)
 
     def test_antipodal_endpoints_rejected(self):
-        with pytest.raises(GeodesicAmbiguous):
-            solid_angle_geodesic_closed(math.pi / 2, math.pi, 2000)
+        for theta in EQUATOR_TILTS:
+            for delta in (math.pi, -math.pi):
+                with pytest.raises(GeodesicAmbiguous):
+                    solid_angle_geodesic_closed(theta, delta)
 
     def test_polar_angle_domain(self):
+        for theta in (0.0, math.pi, -0.5, 4.0):
+            with pytest.raises(ValueError):
+                solid_angle_geodesic_closed(theta, 1.0)
+
+    def test_step_count_checked_but_without_effect(self):
         with pytest.raises(ValueError):
-            solid_angle_geodesic_closed(0.0, 1.0, 2000)
+            solid_angle_geodesic_closed(math.pi / 3, 0.8, 1)
+        reference = solid_angle_geodesic_closed(math.pi / 3, 0.8)
+        assert solid_angle_geodesic_closed(math.pi / 3, 0.8, 2) == reference
+
+    def test_non_finite_sweep_gives_nan(self):
+        for delta in (math.inf, -math.inf, math.nan):
+            assert math.isnan(solid_angle_geodesic_closed(math.pi / 3, delta))
 
     def test_odd_in_sweep(self):
-        plus = solid_angle_geodesic_closed(math.pi / 3, 0.8, 4000)
-        minus = solid_angle_geodesic_closed(math.pi / 3, -0.8, 4000)
-        assert plus == pytest.approx(-minus, abs=1e-10)
+        plus = solid_angle_geodesic_closed(math.pi / 3, 0.8)
+        minus = solid_angle_geodesic_closed(math.pi / 3, -0.8)
+        assert plus == -minus
 
     def test_matches_trig_oracle_both_hemispheres(self):
-        for theta in (math.pi / 6, math.pi / 4, 2.0 * math.pi / 3, 2.5):
-            for delta in (0.4, 1.1, -0.9):
-                got = solid_angle_geodesic_closed(theta, delta, 8000)
-                assert got == pytest.approx(omega_oracle(theta, delta), abs=1e-6)
+        # the oracle's acos steps lose digits near the poles and for tiny
+        # sweeps, so the random cases keep clear of both
+        rng = np.random.default_rng(5)
+        thetas = [math.pi / 6, math.pi / 4, 2.0 * math.pi / 3, 2.5, *rng.uniform(0.2, math.pi - 0.2, 30)]
+        signs = rng.choice([-1.0, 1.0], 30)
+        deltas = [0.4, 1.1, -0.9, *(signs * rng.uniform(0.05, math.pi - 0.05, 30))]
+        for theta in thetas:
+            for delta in deltas:
+                got = solid_angle_geodesic_closed(float(theta), float(delta))
+                assert got == pytest.approx(omega_oracle(float(theta), float(delta)), abs=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1024, 2048, 4096])
+    def test_within_fan_accuracy(self, n_steps):
+        tol = (math.pi / n_steps) ** 2
+        for theta, delta in fan_cases():
+            got = solid_angle_geodesic_closed(theta, delta)
+            assert abs(got - fan_oracle(theta, delta, n_steps)) < tol, (theta, delta)
+
+    def test_equator_keeps_fan_branch_beyond_half_turn(self):
+        # at the equator the area is +-2 pi for pi < |delta| < 2 pi, a tie for
+        # a mod-4 pi form, which lands on the other branch in some cells of
+        # these sweep grids
+        deltas = [
+            2.0 * float(phi_d)
+            for n in (58, 66, 98, 114)
+            for phi_d in np.linspace(-math.pi, math.pi, n)
+            if math.pi < abs(2.0 * phi_d) < TWO_PI
+        ]
+        for theta in EQUATOR_TILTS:
+            for delta in deltas:
+                got = solid_angle_geodesic_closed(theta, delta)
+                assert abs(got - fan_oracle(theta, delta, 256)) < (math.pi / 256) ** 2, (theta, delta)
 
     def test_geometric_phase_law_on_grid(self):
         for theta in (math.pi / 6, math.pi / 4, math.pi / 3, 2.0 * math.pi / 3):
             for phi_d in (math.pi / 8, math.pi / 4, 3.0 * math.pi / 8, -math.pi / 4):
                 _, gamma_geo = decompose_phase(theta, phi_d)
-                omega = solid_angle_geodesic_closed(theta, 2.0 * phi_d, 10_000)
-                assert gamma_geo == pytest.approx(-0.5 * omega, abs=2e-4)
+                omega = solid_angle_geodesic_closed(theta, 2.0 * phi_d)
+                assert gamma_geo == pytest.approx(-0.5 * omega, abs=1e-12)
 
 
 class TestInterferenceResult:
@@ -308,7 +404,7 @@ class TestInterferenceResult:
         r = compute_interference(math.pi / 4, math.pi / 4)
         assert r.phi == pytest.approx(PHI_REF, abs=1e-12)
         assert r.gamma_dyn + r.gamma_geo == r.phi
-        assert r.omega_gc == pytest.approx(-2.0 * GAMMA_GEO_REF, abs=1e-5)
+        assert r.omega_gc == pytest.approx(-2.0 * GAMMA_GEO_REF, abs=1e-12)
 
     def test_undefined_row(self):
         r = compute_interference(math.pi / 2, math.pi / 2)
@@ -320,6 +416,15 @@ class TestInterferenceResult:
     def test_ideal_rows_have_zero_solid_angle(self):
         assert compute_interference(0.0, 1.0).omega_gc == 0.0
         assert compute_interference(math.pi, 1.0).omega_gc == 0.0
+        assert compute_interference(TWO_PI, 1.0).omega_gc == 0.0
+
+    @pytest.mark.parametrize("theta", [-3.0, -0.5, math.pi + 0.5, 4.0, TWO_PI - 0.5, 7.0])
+    def test_tilt_outside_zero_to_pi_keeps_phase_law(self, theta):
+        # the solid angle is taken at the folded polar angle |remainder(theta, 2 pi)|
+        for phi_d in (-1.2, -0.3, 0.3, 1.2):
+            r = compute_interference(theta, phi_d)
+            assert r.omega_gc != 0.0
+            assert abs(r.gamma_geo + 0.5 * r.omega_gc) < 1e-15
 
 
 class TestAngles:
