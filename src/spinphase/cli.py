@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -392,6 +393,14 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
 class _ArgumentParser(argparse.ArgumentParser):
     """An ArgumentParser that reports a malformed or unknown flag as a
     ConfigError naming it, so main exits 2 instead of raising SystemExit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read any argument starting "-<digit>" or "-.<digit>" as a value, so
+        # "--phi-d -1e-3" and "--grid-phid -3:3:5" parse like their "=" forms;
+        # argparse's own pattern takes only plain decimals. No flag of this
+        # parser starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ConfigError(message)

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,25 @@ class TestSweepMode:
         _, rows = read_csv(out)
         assert len(rows) == 8
 
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("interfere", "--phi-d", "-1e-3"),
+            ("interfere", "--phi-d", "-.5"),
+            ("sweep", "--grid-phid", "-3:3:5"),
+            ("sweep", "--grid-phid", "-1e-1:3:5"),
+        ],
+    )
+    def test_negative_value_in_space_form(self, tmp_path, mode, flag, value):
+        # "--flag -value" must parse like "--flag=-value", not as a missing value
+        fixed = ["--theta", "0.5"] if mode == "interfere" else ["--grid-theta", "0:3:3"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["--mode", mode, *fixed, flag, value, "--out", str(spaced)]) == 0
+        assert main(["--mode", mode, *fixed, f"{flag}={value}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        _, rows = read_csv(spaced)
+        assert float(rows[0][1]) == float(value.split(":")[0])
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--mode", "sweep", "--grid-theta", "0:3.1:5", "--grid-phid=-3:3:7"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -350,6 +370,30 @@ class TestPrecessionModes:
         gammas = {row[2] for row in rows}
         assert len(gammas) == 1
 
+    def test_nondispersive_huge_velocities_overflow_quietly(self, tmp_path):
+        # the centers x0 + v t overflow to +-inf at t_off = 3: both rows leave
+        # the region, and no RuntimeWarning is raised on the way
+        out = tmp_path / "sweep.csv"
+        field = self.field_payload()
+        field["pulse"] = {"shape": "rectangular", "B0": 1.0, "t_on": 0.5, "t_off": 3.0}
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "mode": "nondispersive",
+                "field": field,
+                "packet": {"x0": 0.0, "sigma0": 0.2},
+                "region": {"x_min": -50.0, "x_max": 50.0},
+                "velocities": [1e308, -1e308],
+                "out": str(out),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg)]) == 0
+        _, rows = read_csv(out)
+        assert [(row[0], row[1], row[3]) for row in rows] == [("1e+308", "false", "false"), ("-1e+308", "false", "false")]
+
 
 def changed(base, key, value):
     """A deep copy of the config with the dotted key set to value."""
@@ -490,8 +534,11 @@ class TestErrors:
             (["--chi-samples", "2.5"], "--chi-samples"),
             (["--mode", "nope"], "--mode"),
             (["--bogus"], "--bogus"),
+            (["--theta", "--phi-d", "0.3"], "--theta"),
+            (["--phi-d", "-x"], "--phi-d"),
         ],
-        ids=["theta-text", "grid-entry-text", "count-fraction", "mode-choice", "unknown-flag"],
+        ids=["theta-text", "grid-entry-text", "count-fraction", "mode-choice", "unknown-flag", "missing-value",
+             "dash-text-value"],
     )
     def test_malformed_flag_returns_2(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "x.csv"

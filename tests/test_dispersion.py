@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spinphase import (
     GaussianPacket,
@@ -15,6 +15,53 @@ from spinphase import (
     nondispersivity_sweep,
     packet_at,
 )
+
+
+def sampled_oracle(p, region, pulse, k_sigma=5.0, n_time_samples=256):
+    """Containment checked at n_time_samples times spanning [t_on, t_off],
+    both endpoints included: an independent stand-in for the exact check."""
+    for t in np.linspace(pulse.t_on, pulse.t_off, n_time_samples):
+        center, width = packet_at(p, float(t))
+        if center - k_sigma * width < region.x_min or center + k_sigma * width > region.x_max:
+            return False
+    return True
+
+
+velocity = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, 1e308, -1e308]),
+)
+
+
+@st.composite
+def containment_cases(draw):
+    """(packet, region, pulse, k_sigma), the region often touching the
+    packet's k_sigma envelope exactly at t_on or t_off."""
+    p = GaussianPacket(
+        x0=draw(st.floats(-20.0, 20.0)),
+        v=draw(velocity),
+        sigma0=draw(st.floats(1e-3, 5.0)),
+        m=draw(st.floats(0.1, 100.0)),
+        hbar=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+    )
+    t_on = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    t_off = t_on + draw(st.floats(1e-6, 10.0))
+    assume(t_on < t_off)
+    pulse = RectangularPulse(1.0, t_on, t_off)
+    k = draw(st.floats(0.5, 10.0))
+    x_min = draw(st.floats(-1e3, 1e3))
+    x_max = x_min + draw(st.floats(1e-3, 2e3))
+    touch = draw(st.sampled_from([None, ("lo", t_on), ("hi", t_on), ("lo", t_off), ("hi", t_off)]))
+    if touch is not None:
+        side, t = touch
+        center, width = packet_at(p, t)
+        if side == "lo":
+            x_min = center - k * width
+        else:
+            x_max = center + k * width
+    assume(math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max)
+    return p, RegionInterval(x_min, x_max), pulse, k
 
 
 class TestPacketSpreading:
@@ -59,7 +106,7 @@ class TestContainment:
 
     def test_boundary_touch_counts_as_contained(self):
         # place the region edge exactly on the k-sigma envelope at t_off, the
-        # worst sampled time for a rightward packet
+        # worst time for a rightward packet
         p = GaussianPacket(x0=0.0, v=1.0, sigma0=0.2, m=1.0, hbar=1.0)
         pulse = RectangularPulse(1.0, 0.0, 1.0)
         k = 5.0
@@ -81,6 +128,27 @@ class TestContainment:
         p = GaussianPacket(x0=0.0, v=0.0, sigma0=0.1)
         with pytest.raises(ValueError):
             contained_during_pulse(p, RegionInterval(-1.0, 1.0), RectangularPulse(1.0, -1.0, 1.0))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(containment_cases())
+    def test_endpoints_agree_with_sampled_oracle(self, case):
+        p, region, pulse, k = case
+        assert contained_during_pulse(p, region, pulse, k_sigma=k) is sampled_oracle(p, region, pulse, k)
+
+    @pytest.mark.parametrize("t_touch", ["t_on", "t_off"])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_exact_touch_at_either_endpoint(self, t_touch, side):
+        # a leftward, slowly spreading packet: its lower edge is lowest at
+        # t_off and its upper edge highest at t_on
+        p = GaussianPacket(x0=0.0, v=-1.0, sigma0=0.3, m=50.0, hbar=1.0)
+        pulse = RectangularPulse(1.0, 0.5, 2.0)
+        k = 5.0
+        center, width = packet_at(p, getattr(pulse, t_touch))
+        lo, hi = center - k * width, center + k * width
+        region = RegionInterval(lo, 50.0) if side == "lo" else RegionInterval(-50.0, hi)
+        expected = sampled_oracle(p, region, pulse, k)
+        assert contained_during_pulse(p, region, pulse, k_sigma=k) is expected
+        assert expected == ((side, t_touch) in (("lo", "t_off"), ("hi", "t_on")))
 
 
 class TestSweep:
@@ -108,6 +176,23 @@ class TestSweep:
         assert [row.valid for row in report.rows] == [True, True, False]
         # gamma is still reported for the flagged row
         assert report.rows[2].gamma == report.rows[0].gamma
+
+    def test_sweep_matches_per_velocity_calls(self):
+        rng = np.random.default_rng(12)
+        velocities = list(rng.normal(0.0, 60.0, 500))
+        region = RegionInterval(-40.0, 90.0)
+        packet = GaussianPacket(x0=1.0, v=0.0, sigma0=0.3, m=0.5)
+        report = nondispersivity_sweep(packet, velocities, region, self.pulse, self.units, k_sigma=4.0)
+        assert [row.velocity for row in report.rows] == velocities
+        expected = [
+            contained_during_pulse(GaussianPacket(1.0, v, 0.3, m=0.5), region, self.pulse, k_sigma=4.0)
+            for v in velocities
+        ]
+        assert [row.contained for row in report.rows] == expected
+        assert [row.valid for row in report.rows] == expected
+        assert 0 < sum(expected) < len(expected)
+        assert all(type(row.contained) is bool and type(row.valid) is bool for row in report.rows)
+        assert all(type(row.velocity) is float for row in report.rows)
 
     def test_rows_keep_input_order(self):
         region = RegionInterval(-100.0, 100.0)
