@@ -40,6 +40,12 @@ MAX_NORM_DRIFT = 1e-3
 RATE_BLOCK_STEPS = 1024
 
 
+def _moment(mu: float, theta: float, azimuth: float) -> tuple[float, float, float]:
+    """mu * (sin theta cos azimuth, sin theta sin azimuth, cos theta) on floats."""
+    st = math.sin(theta)
+    return (mu * (st * math.cos(azimuth)), mu * (st * math.sin(azimuth)), mu * math.cos(theta))
+
+
 @dataclass(frozen=True)
 class ClassicalDipole:
     """Magnetic moment of magnitude mu tilted by theta from +z.
@@ -59,10 +65,7 @@ class ClassicalDipole:
 
     @property
     def vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return self.mu * np.array(
-            [st * math.cos(self.azimuth), st * math.sin(self.azimuth), math.cos(self.theta)]
-        )
+        return np.array(_moment(self.mu, self.theta, self.azimuth))
 
     @classmethod
     def from_vector(cls, v) -> "ClassicalDipole":

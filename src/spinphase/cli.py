@@ -3,10 +3,16 @@ fringe experiments, and nondispersivity reports driven by JSON scenario
 configs.
 
 Output is deterministic: CSV cells use 17 significant digits with '.' decimal
-separators and bare newline line endings, so repeated runs of the same config
-are byte identical. Undefined phases serialize as NaN in CSV and null in JSON.
-Exit status: 0 on success, 2 on configuration errors, 3 on numerical domain
-errors.
+separators and bare newline line endings, and JSON has the layout of
+json.dumps(indent=2) with floats written by float.__repr__, so repeated runs
+of the same config are byte identical. Undefined phases serialize as NaN in
+CSV and null in JSON. Exit status: 0 on success, 2 on configuration errors, 3
+on numerical domain errors.
+
+The precession series build their rows on plain floats. An ac series takes
+the line integrals of all path segments from one midpoint-rule call, which
+evaluates the field in blocks of segments, and a path that meets a charge is
+reported with its lowest offending segment.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .classical import ClassicalDipole
+from .classical import _moment
 from .dispersion import GaussianPacket, RegionInterval, nondispersivity_sweep
 from .errors import ConfigError, InsufficientSamples, SpinPhaseError, UndefinedPhase
-from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, line_integral_A, pulse_integral_B
+from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, _midpoint_rule, pulse_integral_B
 from .interferometry import (
     CSV_COLUMNS,
     EPS_VIS,
@@ -35,7 +41,7 @@ from .interferometry import (
     nonideal_phase,
     nonideal_visibility,
 )
-from .quantum import bloch_of, rotate_z, spinor_from_angles
+from .quantum import _bloch, rotate_z, spinor_from_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,14 +126,17 @@ def _format_cell(value: Any) -> str:
     return format(float(value), ".17g")
 
 
-def _json_safe(value: Any) -> Any:
-    if value is None or isinstance(value, bool):
-        return value
+def _json_cell(value: Any) -> str:
+    """One row cell as json.dumps writes it (floats by float.__repr__)."""
+    if type(value) is float:
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return float(value)
+        return int.__repr__(int(value))
+    return float.__repr__(float(value))
 
 
 def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -136,15 +145,31 @@ def _csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_rows(rows: Sequence[Sequence[Any]]) -> str:
+    """The rows member's value in the layout of json.dumps(indent=2)."""
+    if not rows:
+        return "[]"
+    body = ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(_json_cell, row)) + "\n    ]" if row else "[]" for row in rows
+    )
+    # a non-finite float is the only cell whose text holds "inf" or "nan"
+    if "inf" in body or "nan" in body:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return "[\n    " + body + "\n  ]"
+
+
 def _json_text(mode: str, columns: Sequence[str], rows: Sequence[Sequence[Any]], extras: dict | None) -> str:
-    payload: dict = {
-        "mode": mode,
-        "columns": list(columns),
-        "rows": [[_json_safe(v) for v in row] for row in rows],
-    }
-    if extras:
-        payload.update(extras)
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """json.dumps of {mode, columns, rows, **extras} with indent=2 and
+    allow_nan=False, plus a newline; the rows are written cell by cell rather
+    than through json's pure-Python indenting encoder."""
+
+    def member(key: str, value: Any) -> str:
+        # json.dumps escapes newlines within strings, so each one breaks a line
+        return f"  {json.dumps(key)}: " + json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+    members = [member("mode", mode), member("columns", list(columns)), f'  "rows": {_json_rows(rows)}']
+    members += [member(key, value) for key, value in (extras or {}).items()]
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def _require(scenario: Scenario, attr: str, key: str) -> Any:
@@ -201,7 +226,7 @@ def _run_chi_scan(sc: Scenario):
         rows.append([chi, p1, p2])
         samples.append((chi, p1))
     fit_phi, fit_nu = fit_fringe(samples)
-    extras = {"fit": {"phi": _json_safe(fit_phi), "visibility": _json_safe(fit_nu)}}
+    extras = {"fit": {"phi": fit_phi, "visibility": fit_nu}}
     return ["chi", "P1", "P2"], rows, extras
 
 
@@ -211,22 +236,30 @@ def _sab_series(sc: Scenario, factor: float):
     t_max = sc.t_max if sc.t_max is not None else max(pulse.t_off, 0.0)
     if t_max < 0.0:
         raise ConfigError("config key 't_max' must be nonnegative")
-    for t in np.linspace(0.0, t_max, sc.n_t):
-        yield [float(t)], factor * pulse_integral_B(pulse, 0.0, float(t))
+    for t in np.linspace(0.0, t_max, sc.n_t).tolist():
+        yield [t], factor * pulse_integral_B(pulse, 0.0, t)
 
 
 def _ac_series(sc: Scenario, factor: float):
-    """(s, x, y) and the cumulative precession angle at each path vertex."""
+    """(s, x, y) and the cumulative precession angle at each path vertex.
+
+    The line integrals of all segments come from one midpoint-rule call;
+    values too large for a float come out non-finite, without a
+    RuntimeWarning, and the caller reports the first such row.
+    """
     path = _require(sc, "path", "path")
     verts = path.vertices
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        segments = _midpoint_rule(sc.field, verts[:-1], verts[1:], sc.n_sub).tolist()
+    points = verts.tolist()
     gamma = 0.0
     arclength = 0.0
-    yield [0.0, verts[0][0], verts[0][1]], gamma
-    for i in range(path.n_segments):
-        seg = PlanarPath(verts[i : i + 2])
-        gamma += factor * line_integral_A(sc.field, seg, sc.n_sub)
+    yield [0.0, *points[0]], gamma
+    for i, segment in enumerate(segments):
+        gamma += factor * segment
+        # the 1-D norm of each segment; norm(axis=1) can round differently in the last bit
         arclength += float(np.linalg.norm(verts[i + 1] - verts[i]))
-        yield [arclength, verts[i + 1][0], verts[i + 1][1]], gamma
+        yield [arclength, *points[i + 1]], gamma
 
 
 def _run_series(sc: Scenario):
@@ -240,16 +273,16 @@ def _run_series(sc: Scenario):
         factor = -units.Gamma
         names = ["mu_x", "mu_y", "mu_z"]
 
-        def state(gamma: float) -> np.ndarray:
-            return ClassicalDipole(units.mu, theta, sc.azimuth + gamma).vector
+        def state(gamma: float) -> tuple[float, float, float]:
+            return _moment(units.mu, theta, sc.azimuth + gamma)
 
     else:
         factor = -2.0 * units.mu / units.hbar
         names = ["n_x", "n_y", "n_z"]
         s0 = spinor_from_angles(theta, sc.azimuth)
 
-        def state(gamma: float) -> np.ndarray:
-            return bloch_of(rotate_z(s0, gamma))
+        def state(gamma: float) -> tuple[float, float, float]:
+            return _bloch(rotate_z(s0, gamma))
 
     if family == "sab":
         leading, source = ["t"], _sab_series(sc, factor)

@@ -30,6 +30,10 @@ from .errors import ConfigError, SingularPoint
 #: Sample points closer than this to a line charge raise SingularPoint.
 SINGULAR_DISTANCE = 1e-9
 
+#: Most midpoint-rule samples evaluated in one batch; a longer path is
+#: integrated in blocks of whole segments, so memory stays bounded.
+MIDPOINT_BLOCK_POINTS = 65_536
+
 TWO_PI = 2.0 * math.pi
 
 #: Cap on the point count of each sweep grid axis.
@@ -474,39 +478,73 @@ def divergence_E(cfg: FieldConfig, p, h: float = 1e-4) -> float:
     return float((ddx + ddy) / (2.0 * h))
 
 
+def _near(points: np.ndarray, charge: LineCharge) -> np.ndarray:
+    """Which of the (..., 2) points lie within SINGULAR_DISTANCE of the charge."""
+    diff = points - charge.position
+    return diff[..., 0] ** 2 + diff[..., 1] ** 2 < SINGULAR_DISTANCE**2
+
+
+def _check_segments(
+    cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, own_end: np.ndarray, pts: np.ndarray, offset: int
+) -> None:
+    """Raise SingularPoint for the lowest segment of a block that meets a charge.
+
+    A segment meets a charge through its start, a sample or, where
+    ``own_end`` is set, its end. The point is then found as a one-segment
+    call finds it: the charges in order, the segment's closer endpoint before
+    its closest sample.
+    """
+    hit = np.zeros(len(starts), dtype=bool)
+    for charge in cfg.charges:
+        hit |= _near(starts, charge) | (own_end & _near(ends, charge)) | _near(pts, charge).any(axis=1)
+    if not hit.any():
+        return
+    i = int(np.argmax(hit))
+    endpoints = np.stack([starts[i], ends[i]])
+    for charge in cfg.charges:
+        for points in (endpoints, pts[i]):
+            if _near(points, charge).any():
+                diff = points - charge.position
+                k = int(np.argmin(diff[:, 0] ** 2 + diff[:, 1] ** 2))
+                raise SingularPoint(points[k], segment=offset + i)
+
+
 def _midpoint_rule(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, n_sub: int) -> np.ndarray:
     """Integral of A . dr along each straight segment starts[i] -> ends[i].
 
     Each segment is split into ``n_sub`` equal pieces sampled at their
-    midpoints (composite midpoint rule); one eval_A call covers every sample.
+    midpoints (composite midpoint rule). The segments are taken in blocks of
+    whole segments holding at most MIDPOINT_BLOCK_POINTS samples (a segment
+    with more samples is a block of its own), with one eval_A call per block,
+    so memory stays bounded for any path; each segment's value does not
+    depend on the blocking.
 
     Raises
     ------
     SingularPoint
         If a segment's start, end or sample point comes within
         SINGULAR_DISTANCE of a charge; the error carries the index of the
-        segment (for a vertex shared by two segments, the one it starts).
+        lowest such segment (a vertex shared by two segments counts for the
+        one it starts).
     """
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")
-    deltas = ends - starts
+    n = len(starts)
+    # an end that is also the next segment's start counts for that segment
+    own_end = np.ones(n, dtype=bool)
+    own_end[:-1] = np.any(ends[:-1] != starts[1:], axis=1)
     t = (np.arange(n_sub) + 0.5) / n_sub
-    pts = starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
-    flat = pts.reshape(-1, 2)
-    endpoints = np.concatenate([starts, ends])
-    for charge in cfg.charges:
-        dv = endpoints - charge.position
-        rv2 = dv[:, 0] ** 2 + dv[:, 1] ** 2
-        if np.any(rv2 < SINGULAR_DISTANCE**2):
-            k = int(np.argmin(rv2))
-            raise SingularPoint(endpoints[k], segment=k % len(starts))
-        diff = flat - charge.position
-        r2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        if np.any(r2 < SINGULAR_DISTANCE**2):
-            k = int(np.argmin(r2))
-            raise SingularPoint(flat[k], segment=k // n_sub)
-    A = eval_A(cfg, flat).reshape(pts.shape)
-    return np.einsum("snk,sk->s", A, deltas) / n_sub
+    per_block = max(1, MIDPOINT_BLOCK_POINTS // n_sub)
+    out = np.empty(n)
+    for first in range(0, n, per_block):
+        block = slice(first, first + per_block)
+        block_starts, block_ends = starts[block], ends[block]
+        deltas = block_ends - block_starts
+        pts = block_starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
+        _check_segments(cfg, block_starts, block_ends, own_end[block], pts, first)
+        A = eval_A(cfg, pts.reshape(-1, 2)).reshape(pts.shape)
+        out[block] = np.einsum("snk,sk->s", A, deltas) / n_sub
+    return out
 
 
 def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> float:
@@ -521,7 +559,7 @@ def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> floa
     ------
     SingularPoint
         If any path vertex or sample point comes within SINGULAR_DISTANCE of
-        a charge; the error carries the offending segment index.
+        a charge; the error carries the lowest offending segment index.
     """
     verts = path.vertices
     return float(_midpoint_rule(cfg, verts[:-1], verts[1:], n_sub).sum())

@@ -76,16 +76,21 @@ def evolve_spin(s: Spinor, gamma: float) -> Spinor:
     return rotate_z(s, gamma)
 
 
+def _bloch(s: Spinor) -> tuple[float, float, float]:
+    """bloch_of on floats."""
+    nrm = s.norm()
+    if abs(nrm - 1.0) > 1e-9:
+        raise NotNormalized(f"spinor norm {nrm} deviates from 1")
+    cross = s.up.conjugate() * s.down
+    return (2.0 * cross.real, 2.0 * cross.imag, abs(s.up) ** 2 - abs(s.down) ** 2)
+
+
 def bloch_of(s: Spinor) -> np.ndarray:
     """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a normalized spinor.
 
     Raises NotNormalized if the norm deviates from 1 by more than 1e-9.
     """
-    nrm = s.norm()
-    if abs(nrm - 1.0) > 1e-9:
-        raise NotNormalized(f"spinor norm {nrm} deviates from 1")
-    cross = s.up.conjugate() * s.down
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(s.up) ** 2 - abs(s.down) ** 2])
+    return np.array(_bloch(s))
 
 
 def sab_precession_angle(pulse: PulseProfile, t: float, units: UnitSystem) -> float:

@@ -12,11 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinphase import detector_probabilities, nonideal_phase, nonideal_visibility
-from spinphase.cli import MODES, fit_fringe, main
+from spinphase import (
+    ClassicalDipole,
+    FieldConfig,
+    PlanarPath,
+    bloch_of,
+    detector_probabilities,
+    line_integral_A,
+    nonideal_phase,
+    nonideal_visibility,
+    rotate_z,
+    spinor_from_angles,
+)
+from spinphase.classical import _moment
+from spinphase.cli import MODES, _json_text, fit_fringe, main
 from spinphase.errors import InsufficientSamples
 from spinphase.fields import MAX_COUNT
 from spinphase.interferometry import circular_distance
+from spinphase.quantum import _bloch
 
 NATURAL_UNITS = {"hbar": 1.0, "c": 1.0, "eps0": 1.0, "mu": 1.0, "Gamma": 2.0, "m": 1.0}
 
@@ -395,6 +408,113 @@ class TestPrecessionModes:
         assert [(row[0], row[1], row[3]) for row in rows] == [("1e+308", "false", "false"), ("-1e+308", "false", "false")]
 
 
+class TestSeriesOracles:
+    """The float series against the library calls they replace."""
+
+    @pytest.mark.parametrize("mode", ["ac-classical", "ac-quantum"])
+    def test_ac_columns_match_one_call_per_segment(self, tmp_path, mode):
+        # 120 segments of 600 samples span two midpoint-rule blocks
+        rng = np.random.default_rng(11)
+        pool = rng.uniform(-3.0, 3.0, size=(200, 2))
+        # start at a segment whose 1-D norm and norm(axis=1) differ in the
+        # last bit, so that the s column tells the two apart
+        d = np.diff(pool, axis=0)
+        k = int(np.argmax(np.linalg.norm(d, axis=1) != [np.linalg.norm(x) for x in d]))
+        verts = pool[k : k + 121]
+        units = {"hbar": 1.0, "c": 1.3, "eps0": 0.7, "mu": 1.1, "Gamma": -1.7, "m": 1.0}
+        charges = [{"x": x, "y": y, "lambda": lam} for x, y, lam in rng.uniform(-0.5, 0.5, size=(3, 3)).tolist()]
+        field = {"charges": charges, "units": units}
+        out = tmp_path / "ac.json"
+        config = {"mode": mode, "field": field, "path": {"vertices": verts.tolist()}, "theta": 0.7,
+                  "azimuth": 0.2, "n_sub": 600, "format": "json", "out": str(out)}
+        assert main(["--config", str(write_config(tmp_path, "cfg.json", config))]) == 0
+        cfg = FieldConfig.from_dict(field)
+        factor = -units["Gamma"] if mode == "ac-classical" else -2.0 * units["mu"] / units["hbar"]
+        gamma, s = 0.0, 0.0
+        expected = [[0.0, 0.0]]
+        for i in range(len(verts) - 1):
+            gamma += factor * line_integral_A(cfg, PlanarPath(verts[i : i + 2]), 600)
+            s += float(np.linalg.norm(verts[i + 1] - verts[i]))
+            expected.append([s, gamma])
+        rows = json.loads(out.read_text())["rows"]
+        assert [[row[0], row[3]] for row in rows] == expected
+        assert [row[1:3] for row in rows] == verts.tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mu=st.floats(1e-3, 1e3),
+        theta=st.floats(-10.0, 10.0),
+        azimuth=st.floats(-10.0, 10.0),
+        gamma=st.floats(-1e6, 1e6),
+    )
+    def test_row_helpers_match_library_vectors(self, mu, theta, azimuth, gamma):
+        moment = _moment(mu, theta, azimuth + gamma)
+        assert moment == tuple(ClassicalDipole(mu, theta, azimuth + gamma).vector)
+        # the array expression ClassicalDipole.vector evaluated before the helper
+        st_, a = math.sin(theta), azimuth + gamma
+        assert moment == tuple(mu * np.array([st_ * math.cos(a), st_ * math.sin(a), math.cos(theta)]))
+        s0 = spinor_from_angles(theta, azimuth)
+        assert _bloch(rotate_z(s0, gamma)) == tuple(bloch_of(rotate_z(s0, gamma)))
+
+
+#: Row cells of every type the runners produce, and the float extremes.
+json_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]),
+)
+
+
+def plain(value):
+    """The Python value json.dumps takes for a numpy scalar."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        columns=st.lists(st.text(max_size=4), max_size=4),
+        rows=st.lists(st.lists(json_cells, max_size=5), max_size=5),
+        fit=st.one_of(
+            st.none(),
+            st.fixed_dictionaries(
+                {
+                    "phi": st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+                    "visibility": st.floats(0.0, 1.0),
+                }
+            ),
+        ),
+    )
+    def test_matches_json_dumps(self, mode, columns, rows, fit):
+        extras = None if fit is None else {"fit": fit}
+        payload = {"mode": mode, "columns": columns, "rows": [[plain(v) for v in row] for row in rows]}
+        payload.update(extras or {})
+        assert _json_text(mode, columns, rows, extras) == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+    def test_non_finite_cell_rejected_like_json(self, value):
+        with pytest.raises(ValueError):
+            json.dumps([value], allow_nan=False)
+        with pytest.raises(ValueError):
+            _json_text("interfere", ["phi"], [[value]], None)
+
+    def test_chi_scan_with_undefined_fit_phase(self, tmp_path):
+        out = tmp_path / "c.json"
+        config = {"mode": "chi-scan", "phi": 0.3, "visibility": 0.0, "chi_samples": 5, "format": "json",
+                  "out": str(out)}
+        assert main(["--config", str(write_config(tmp_path, "cfg.json", config))]) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert payload["fit"]["phi"] is None
+        assert text == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def changed(base, key, value):
     """A deep copy of the config with the dotted key set to value."""
     cfg = copy.deepcopy(base)
@@ -512,6 +632,56 @@ class TestErrors:
         )
         assert main(["--config", str(cfg)]) == 3
         assert "segment" in capsys.readouterr().err
+
+    def test_singular_path_names_lowest_segment(self, tmp_path, capsys):
+        # the first charge meets segment 3, the second segment 1
+        charges = [{"x": 0.0, "y": -3.0, "lambda": 1.0}, {"x": 0.0, "y": 3.0, "lambda": 1.0}]
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "mode": "ac-classical",
+                "field": {"charges": charges, "units": NATURAL_UNITS},
+                "path": {"vertices": [[-1.0, 5.0], [-1.0, 3.0], [1.0, 3.0], [1.0, -3.0], [-1.0, -3.0]]},
+                "theta": 0.5,
+                "n_sub": 31,
+                "out": str(tmp_path / "x.csv"),
+            },
+        )
+        assert main(["--config", str(cfg)]) == 3
+        assert "singular point (0.0, 3.0) (path segment 1)" in capsys.readouterr().err
+
+    def overflow_config(self, tmp_path, third_vertex):
+        # segment 0's angle, -2e8 times an integral near 3e300, overflows;
+        # segment 1 ends at the third vertex
+        return write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "mode": "ac-quantum",
+                "field": {"charges": [{"x": 0.0, "y": 0.0, "lambda": 1e301}], "units": dict(NATURAL_UNITS, mu=1e8)},
+                "path": {"vertices": [[2.0, 0.0], [0.0, 2.0], third_vertex]},
+                "theta": 0.5,
+                "n_sub": 1,
+                "out": str(tmp_path / "x.csv"),
+            },
+        )
+
+    def test_overflow_before_a_field_overflow_raises_no_warning(self, tmp_path, capsys):
+        # segment 1's one sample lies 1.2e-9 from the charge, where the field
+        # itself overflows; the series stops at row 1 without a RuntimeWarning
+        cfg = self.overflow_config(tmp_path, [2.4e-9, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg)]) == 3
+        assert "precession angle -inf overflows" in capsys.readouterr().err
+
+    def test_singular_segment_after_an_overflowing_row(self, tmp_path, capsys):
+        # segment 1 samples the charge: all segments are evaluated before the
+        # first row is checked, so the singular segment is reported
+        cfg = self.overflow_config(tmp_path, [0.0, -2.0])
+        assert main(["--config", str(cfg)]) == 3
+        assert "(path segment 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text", ["{", "[" * 100_000 + "]" * 100_000, "1" * 5000, "[]"], ids=["truncated", "deep", "long-int", "list"]
@@ -693,7 +863,9 @@ def configs(draw):
 def assert_finite_output(path, fmt, stdout):
     """Every cell is finite, except bools and the undefined cells."""
     if fmt == "json":
-        payload = json.loads(path.read_text())
+        text = path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, allow_nan=False) + "\n"
         columns, rows = payload["columns"], payload["rows"]
         if "fit" in payload:
             assert math.isfinite(payload["fit"]["visibility"])

@@ -20,6 +20,8 @@ from spinphase import (
     line_integral_A,
     pulse_integral_B,
 )
+from spinphase import fields
+from spinphase.fields import MIDPOINT_BLOCK_POINTS, _midpoint_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +173,54 @@ class TestLineIntegral:
         with pytest.raises(SingularPoint) as excinfo:
             line_integral_A(unit_charge, path, 16)
         assert excinfo.value.segment == 1
+
+    def test_lowest_segment_named_across_charges(self):
+        # the first charge sits on a sample of segment 3, the second on one
+        # of segment 1: the error names segment 1 and the second charge
+        cfg = FieldConfig(charges=[LineCharge(0.0, -3.0, 1.0), LineCharge(0.0, 3.0, 1.0)])
+        path = PlanarPath(np.array([[-1.0, 5.0], [-1.0, 3.0], [1.0, 3.0], [1.0, -3.0], [-1.0, -3.0]]))
+        with pytest.raises(SingularPoint) as excinfo:
+            line_integral_A(cfg, path, 31)
+        assert excinfo.value.segment == 1
+        assert excinfo.value.point == (0.0, 3.0)
+
+    def test_singular_segment_in_a_later_block(self):
+        # blocks of 65 segments at n_sub = 1000; the first sample of segment
+        # 90 meets the first charge, the first sample of segment 80 the second
+        cfg = FieldConfig(charges=[LineCharge(90.0005, 0.0, 1.0), LineCharge(80.0005, 0.0, 1.0)])
+        verts = np.stack([np.arange(101.0), np.zeros(101)], axis=1)
+        assert 1000 * 80 > MIDPOINT_BLOCK_POINTS
+        with pytest.raises(SingularPoint) as excinfo:
+            line_integral_A(cfg, PlanarPath(verts), 1000)
+        assert excinfo.value.segment == 80
+
+    def test_unshared_end_on_charge_reports_its_segment(self, unit_charge):
+        # segments that do not form a polyline: the end of segment 1 is no
+        # other segment's start
+        starts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        ends = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+        with pytest.raises(SingularPoint) as excinfo:
+            _midpoint_rule(unit_charge, starts, ends, 8)
+        assert excinfo.value.segment == 1
+        assert excinfo.value.point == (0.0, 0.0)
+
+    def test_samples_evaluated_in_bounded_blocks(self, unit_charge, monkeypatch):
+        verts = np.random.default_rng(3).uniform(1.0, 3.0, size=(301, 2))
+        expected = [line_integral_A(unit_charge, PlanarPath(verts[i : i + 2]), 1000) for i in range(300)]
+        sizes = []
+
+        def recording_eval_A(cfg, p):
+            sizes.append(len(p))
+            return eval_A(cfg, p)
+
+        monkeypatch.setattr(fields, "eval_A", recording_eval_A)
+        values = _midpoint_rule(unit_charge, verts[:-1], verts[1:], 1000)
+        assert sizes == [65_000] * 4 + [40_000]
+        assert values.tolist() == expected
+        # a segment with more samples than a block is a block of its own
+        sizes.clear()
+        _midpoint_rule(unit_charge, verts[:3], verts[1:4], MIDPOINT_BLOCK_POINTS + 1)
+        assert sizes == [MIDPOINT_BLOCK_POINTS + 1] * 3
 
     def test_convergence_in_n_sub(self, unit_charge):
         path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
