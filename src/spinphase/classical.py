@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularPoint, StepTooLarge
 from .fields import (
+    SINGULAR_DISTANCE,
     FieldConfig,
     PlanarPath,
     PulseProfile,
     UnitSystem,
     eval_A,
-    eval_E,
     line_integral_A,
     pulse_integral_B,
 )
@@ -210,13 +211,70 @@ def precess_ac_closed_form(
 ) -> tuple[ClassicalDipole, float]:
     """Closed-form precession along a spatial path through the electric field.
 
-    Returns the rotated dipole and gamma = -Gamma * integral(A . dr). For a
-    closed loop gamma = -Gamma * lambda_enc / (eps0 c^2), independent of the
-    loop shape and of how fast the path is traversed.
+    Returns the rotated dipole and gamma = -Gamma * integral(A . dr), the
+    integral taken exactly by line_integral_A. For a closed loop
+    gamma = -Gamma * lambda_enc / (eps0 c^2), independent of the loop shape
+    and of how fast the path is traversed. ``n_sub`` has no effect; it must
+    still be at least 1.
     """
     units = units or cfg.units
     gamma = -units.Gamma * line_integral_A(cfg, path, n_sub)
     return replace(dipole, azimuth=dipole.azimuth + gamma), gamma
+
+
+class _Piece(NamedTuple):
+    """One RK4 block of a path segment: k steps of size h over 2k + 1 stage
+    points start + frac * d, traversed at velocity v."""
+
+    segment: int
+    h: float
+    frac: np.ndarray
+    v: np.ndarray
+    start: np.ndarray
+    d: np.ndarray
+
+
+def _pieces(kin: KinematicPath, dt: float):
+    """The RK4 blocks of every segment along the path, in order; a segment
+    of zero length has none."""
+    verts = kin.path.vertices
+    for i in range(kin.path.n_segments):
+        d = verts[i + 1] - verts[i]
+        length = float(np.linalg.norm(d))
+        if length == 0.0:
+            continue
+        speed = float(kin.speeds[i])
+        v = (speed / length) * d
+        tau = length / speed
+        for h, times in _stage_blocks(0.0, tau, dt):
+            yield _Piece(i, h, times / tau, v, verts[i], d)
+
+
+def _gathered(pieces):
+    """Consecutive pieces grouped so that each group holds at most
+    RATE_BLOCK_STEPS steps; a piece of a full block is a group of its own."""
+    group, steps = [], 0
+    for piece in pieces:
+        k = len(piece.frac) // 2
+        if group and steps + k > RATE_BLOCK_STEPS:
+            yield group
+            group, steps = [], 0
+        group.append(piece)
+        steps += k
+    if group:
+        yield group
+
+
+def _stage_rates(cfg: FieldConfig, Gamma: float, group: list) -> list:
+    """Gamma (A . v) at the stage points of a group of pieces from one eval_A
+    call, elementwise the same floats as one call per piece."""
+    counts = [len(piece.frac) for piece in group]
+    frac = np.concatenate([piece.frac for piece in group])
+    start = np.repeat([piece.start for piece in group], counts, axis=0)
+    d = np.repeat([piece.d for piece in group], counts, axis=0)
+    v = np.repeat([piece.v for piece in group], counts, axis=0)
+    A = eval_A(cfg, start + frac[:, None] * d)
+    return (Gamma * (A[:, 0] * v[:, 0] + A[:, 1] * v[:, 1])).tolist()
 
 
 def integrate_precession_ac(
@@ -231,36 +289,39 @@ def integrate_precession_ac(
     With v and E planar, v x E points along z and the torque reduces to
     mudot = Gamma (A . v) (mu_y, -mu_x, 0); the final dipole depends only on
     the geometric path, not on the speed profile. The rate depends on time
-    only, so the stage rates are evaluated in one batch per segment before
-    the recurrence runs: one eval_A call over the segment's 2n + 1 stage
-    points (n steps), in blocks of at most RATE_BLOCK_STEPS (1024) steps.
-    Choose dt so a step subtends well under 0.01 rad
-    (|Gamma| max|A| speed dt < 0.01).
+    only, so the stage rates are evaluated before the recurrence runs. A
+    segment's n steps have 2n + 1 stage points, split into blocks of at most
+    RATE_BLOCK_STEPS (1024) steps; the blocks of consecutive segments are
+    gathered into one eval_A call holding at most RATE_BLOCK_STEPS steps, and
+    each segment then runs the recurrence with its own step size. Choose dt
+    so a step subtends well under 0.01 rad (|Gamma| max|A| speed dt < 0.01).
 
     Raises SingularPoint carrying the segment index if a stage point comes
-    within fields.SINGULAR_DISTANCE of a charge.
+    within fields.SINGULAR_DISTANCE of a charge. That error, or a
+    StepTooLarge of an earlier segment, is the one a segment-by-segment
+    integration raises.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    units = units or cfg.units
-    verts = kin.path.vertices
+    Gamma = (units or cfg.units).Gamma
     m = tuple(dipole.vector.tolist())
-    for i in range(kin.path.n_segments):
-        a = verts[i]
-        d = verts[i + 1] - verts[i]
-        length = float(np.linalg.norm(d))
-        if length == 0.0:
+    for group in _gathered(_pieces(kin, dt)):
+        try:
+            rates = _stage_rates(cfg, Gamma, group)
+        except SingularPoint:
+            # cold path: block by block, so that the first failure raises
+            for piece in group:
+                try:
+                    piece_rates = _stage_rates(cfg, Gamma, [piece])
+                except SingularPoint as exc:
+                    raise SingularPoint(exc.point, segment=piece.segment) from None
+                m = _rk4_precession(m, dipole.mu, piece_rates, piece.h)
             continue
-        speed = float(kin.speeds[i])
-        v = (speed / length) * d
-        tau = length / speed
-        for h, times in _stage_blocks(0.0, tau, dt):
-            try:
-                A = eval_A(cfg, a + (times / tau)[:, None] * d)
-            except SingularPoint as exc:
-                raise SingularPoint(exc.point, segment=i) from None
-            rates = units.Gamma * (A[:, 0] * v[0] + A[:, 1] * v[1])
-            m = _rk4_precession(m, dipole.mu, rates.tolist(), h)
+        first = 0
+        for piece in group:
+            last = first + len(piece.frac)
+            m = _rk4_precession(m, dipole.mu, rates[first:last], piece.h)
+            first = last
     return _dipole_from(m, dipole.mu)
 
 
@@ -269,26 +330,31 @@ def ac_force(
     cfg: FieldConfig,
     p,
     v,
-    h: float = 1e-5,
     units: UnitSystem | None = None,
 ) -> np.ndarray:
     """Force F = -v x (mu . grad) E / c^2 on a moving dipole, as a 3-vector.
 
-    The directional derivative (mu . grad) E is taken by central differences
-    with step h, so arbitrary field callbacks work; the z derivative vanishes
-    identically for z-independent planar fields. With planar v and E the
-    returned force is purely along z. It is reported only, never applied to
-    the path.
+    The field derivatives are exact: for a line charge E = k r / r^2 with
+    k = lam / (2 pi eps0), so d_j E_i = k (delta_ij r^2 - 2 r_i r_j) / r^4.
+    The z derivative vanishes identically for z-independent planar fields,
+    and with planar v and E the returned force is purely along z. It is
+    reported only, never applied to the path.
+
+    Raises SingularPoint if p lies within fields.SINGULAR_DISTANCE of a charge.
     """
     units = units or cfg.units
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    mu_vec = dipole.vector
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    dEdx = (eval_E(cfg, p + ex) - eval_E(cfg, p - ex)) / (2.0 * h)
-    dEdy = (eval_E(cfg, p + ey) - eval_E(cfg, p - ey)) / (2.0 * h)
-    g = mu_vec[0] * dEdx + mu_vec[1] * dEdy
+    mu = dipole.vector[:2]
+    g = np.zeros(2)
+    for charge in cfg.charges:
+        r = p - charge.position
+        r2 = float(r @ r)
+        if r2 < SINGULAR_DISTANCE**2:
+            raise SingularPoint(p)
+        n = r / math.sqrt(r2)
+        # (mu . grad) E = k (mu - 2 (mu . n) n) / r^2 with n the unit vector r / |r|
+        g += (charge.lam / (2.0 * math.pi * cfg.units.eps0)) * (mu - 2.0 * float(mu @ n) * n) / r2
     g3 = np.array([g[0], g[1], 0.0])
     v3 = np.array([v[0], v[1], 0.0])
     return -np.cross(v3, g3) / units.c**2

@@ -10,9 +10,8 @@ CSV and null in JSON. Exit status: 0 on success, 2 on configuration errors, 3
 on numerical domain errors.
 
 The precession series build their rows on plain floats. An ac series takes
-the line integrals of all path segments from one midpoint-rule call, which
-evaluates the field in blocks of segments, and a path that meets a charge is
-reported with its lowest offending segment.
+the exact line integrals of all path segments from one array pass, and a
+path that passes a charge is reported with its lowest offending segment.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .classical import _moment
 from .dispersion import GaussianPacket, RegionInterval, nondispersivity_sweep
 from .errors import ConfigError, InsufficientSamples, SpinPhaseError, UndefinedPhase
-from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, _midpoint_rule, pulse_integral_B
+from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, _segment_integrals, pulse_integral_B
 from .interferometry import (
     CSV_COLUMNS,
     EPS_VIS,
@@ -243,14 +242,14 @@ def _sab_series(sc: Scenario, factor: float):
 def _ac_series(sc: Scenario, factor: float):
     """(s, x, y) and the cumulative precession angle at each path vertex.
 
-    The line integrals of all segments come from one midpoint-rule call;
-    values too large for a float come out non-finite, without a
-    RuntimeWarning, and the caller reports the first such row.
+    The exact line integrals of all segments come from one call; values
+    too large for a float come out non-finite, without a RuntimeWarning, and
+    the caller reports the first such row.
     """
     path = _require(sc, "path", "path")
     verts = path.vertices
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        segments = _midpoint_rule(sc.field, verts[:-1], verts[1:], sc.n_sub).tolist()
+        segments = _segment_integrals(sc.field, verts[:-1], verts[1:]).tolist()
     points = verts.tolist()
     gamma = 0.0
     arclength = 0.0

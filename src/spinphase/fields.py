@@ -30,10 +30,6 @@ from .errors import ConfigError, SingularPoint
 #: Sample points closer than this to a line charge raise SingularPoint.
 SINGULAR_DISTANCE = 1e-9
 
-#: Most midpoint-rule samples evaluated in one batch; a longer path is
-#: integrated in blocks of whole segments, so memory stays bounded.
-MIDPOINT_BLOCK_POINTS = 65_536
-
 TWO_PI = 2.0 * math.pi
 
 #: Cap on the point count of each sweep grid axis.
@@ -375,21 +371,15 @@ class FieldConfig:
     """Field sources plus units: line charges for the planar electric field
     and an optional magnetic pulse along +z.
 
-    ``extra_field`` is a hook for arbitrary z-independent charge
-    distributions: a callable mapping an (N, 2) array of points to the (N, 2)
-    planar field it adds to the line-charge superposition. Only line charges
-    ship as concrete sources, and the hook is excluded from JSON
-    serialization.
+    Line charges are the only electric sources, so every line integral of A
+    and every field derivative has a closed form.
     """
 
     charges: list[LineCharge] = field(default_factory=list)
     pulse: PulseProfile | None = None
     units: UnitSystem = field(default_factory=UnitSystem)
-    extra_field: Callable[[np.ndarray], np.ndarray] | None = None
 
     def to_dict(self) -> dict:
-        if self.extra_field is not None:
-            raise ValueError("custom field callbacks are not serializable")
         out: dict = {
             "charges": [{"x": c.x, "y": c.y, "lambda": c.lam} for c in self.charges],
             "units": self.units.to_dict(),
@@ -447,8 +437,6 @@ def eval_E(cfg: FieldConfig, p) -> np.ndarray:
         if bad.any():
             raise SingularPoint(flat[int(np.argmax(bad))])
         out += (charge.lam / (TWO_PI * cfg.units.eps0)) * diff / r2[:, None]
-    if cfg.extra_field is not None:
-        out = out + np.asarray(cfg.extra_field(flat), dtype=float).reshape(flat.shape)
     return out.reshape(pts.shape)
 
 
@@ -478,88 +466,81 @@ def divergence_E(cfg: FieldConfig, p, h: float = 1e-4) -> float:
     return float((ddx + ddy) / (2.0 * h))
 
 
-def _near(points: np.ndarray, charge: LineCharge) -> np.ndarray:
-    """Which of the (..., 2) points lie within SINGULAR_DISTANCE of the charge."""
-    diff = points - charge.position
-    return diff[..., 0] ** 2 + diff[..., 1] ** 2 < SINGULAR_DISTANCE**2
+def _check_segments(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Raise SingularPoint for the lowest segment that meets a charge.
 
-
-def _check_segments(
-    cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, own_end: np.ndarray, pts: np.ndarray, offset: int
-) -> None:
-    """Raise SingularPoint for the lowest segment of a block that meets a charge.
-
-    A segment meets a charge through its start, a sample or, where
-    ``own_end`` is set, its end. The point is then found as a one-segment
-    call finds it: the charges in order, the segment's closer endpoint before
-    its closest sample.
+    A segment meets a charge when its closest point lies within
+    SINGULAR_DISTANCE of it; an end that is also the next segment's start
+    counts only for that segment. The charges are taken in order, and the
+    error carries the segment's closest point to the first one it meets.
     """
+    # an end that is also the next segment's start counts for that segment
+    shared_end = np.zeros(len(starts), dtype=bool)
+    shared_end[:-1] = np.all(ends[:-1] == starts[1:], axis=1)
+    d = ends - starts
+    dd = d[:, 0] ** 2 + d[:, 1] ** 2
+    safe_dd = np.where(dd > 0.0, dd, 1.0)
     hit = np.zeros(len(starts), dtype=bool)
+    closest = []
     for charge in cfg.charges:
-        hit |= _near(starts, charge) | (own_end & _near(ends, charge)) | _near(pts, charge).any(axis=1)
+        a = starts - charge.position
+        b = ends - charge.position
+        # the closest point is starts + t d; a zero-length segment has t = 0
+        t = np.clip(-(a[:, 0] * d[:, 0] + a[:, 1] * d[:, 1]) / safe_dd, 0.0, 1.0)
+        r = a + t[:, None] * d
+        near = r[:, 0] ** 2 + r[:, 1] ** 2 < SINGULAR_DISTANCE**2
+        near &= ~(shared_end & (b[:, 0] ** 2 + b[:, 1] ** 2 < SINGULAR_DISTANCE**2))
+        hit |= near
+        closest.append((near, t))
     if not hit.any():
         return
     i = int(np.argmax(hit))
-    endpoints = np.stack([starts[i], ends[i]])
-    for charge in cfg.charges:
-        for points in (endpoints, pts[i]):
-            if _near(points, charge).any():
-                diff = points - charge.position
-                k = int(np.argmin(diff[:, 0] ** 2 + diff[:, 1] ** 2))
-                raise SingularPoint(points[k], segment=offset + i)
+    for near, t in closest:
+        if near[i]:
+            raise SingularPoint(starts[i] + t[i] * d[i], segment=i)
 
 
-def _midpoint_rule(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, n_sub: int) -> np.ndarray:
-    """Integral of A . dr along each straight segment starts[i] -> ends[i].
+def _segment_integrals(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Exact integral of A . dr along each straight segment starts[i] -> ends[i].
 
-    Each segment is split into ``n_sub`` equal pieces sampled at their
-    midpoints (composite midpoint rule). The segments are taken in blocks of
-    whole segments holding at most MIDPOINT_BLOCK_POINTS samples (a segment
-    with more samples is a block of its own), with one eval_A call per block,
-    so memory stays bounded for any path; each segment's value does not
-    depend on the blocking.
+    Around a line charge A = lam / (2 pi eps0 c^2) grad(azimuth), so each
+    segment contributes lam / (2 pi eps0 c^2) times the signed angle
+    atan2(a x b, a . b) it subtends at the charge, with a and b its ends
+    relative to the charge. One array pass per charge.
 
     Raises
     ------
     SingularPoint
-        If a segment's start, end or sample point comes within
-        SINGULAR_DISTANCE of a charge; the error carries the index of the
-        lowest such segment (a vertex shared by two segments counts for the
-        one it starts).
+        If a segment passes within SINGULAR_DISTANCE of a charge; the error
+        carries the index of the lowest such segment and its closest point
+        (a vertex shared by two segments counts for the one it starts).
     """
-    if n_sub < 1:
-        raise ValueError("n_sub must be at least 1")
-    n = len(starts)
-    # an end that is also the next segment's start counts for that segment
-    own_end = np.ones(n, dtype=bool)
-    own_end[:-1] = np.any(ends[:-1] != starts[1:], axis=1)
-    t = (np.arange(n_sub) + 0.5) / n_sub
-    per_block = max(1, MIDPOINT_BLOCK_POINTS // n_sub)
-    out = np.empty(n)
-    for first in range(0, n, per_block):
-        block = slice(first, first + per_block)
-        block_starts, block_ends = starts[block], ends[block]
-        deltas = block_ends - block_starts
-        pts = block_starts[:, None, :] + t[None, :, None] * deltas[:, None, :]
-        _check_segments(cfg, block_starts, block_ends, own_end[block], pts, first)
-        A = eval_A(cfg, pts.reshape(-1, 2)).reshape(pts.shape)
-        out[block] = np.einsum("snk,sk->s", A, deltas) / n_sub
-    return out
+    _check_segments(cfg, starts, ends)
+    out = np.zeros(len(starts))
+    for charge in cfg.charges:
+        a = starts - charge.position
+        b = ends - charge.position
+        angle = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
+        out += (charge.lam / (TWO_PI * cfg.units.eps0)) * angle
+    return out / cfg.units.c**2
 
 
 def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> float:
-    """Line integral of A along the polyline by composite midpoint quadrature.
+    """Exact line integral of A along the polyline.
 
-    Each segment is split into ``n_sub`` equal pieces sampled at midpoints.
-    For a closed loop the exact value is lambda_enc / (eps0 c^2); the midpoint
-    rule converges to it at second order in 1/n_sub. Reversing the path
-    negates the result.
+    Each segment contributes lam / (2 pi eps0 c^2) times the angle it
+    subtends at each charge, so a closed loop gives lambda_enc / (eps0 c^2)
+    for any loop shape, and reversing the path negates the result.
+    ``n_sub`` is accepted for compatibility and has no effect; it must still
+    be at least 1.
 
     Raises
     ------
     SingularPoint
-        If any path vertex or sample point comes within SINGULAR_DISTANCE of
-        a charge; the error carries the lowest offending segment index.
+        If a path segment passes within SINGULAR_DISTANCE of a charge; the
+        error carries the lowest offending segment index.
     """
+    if n_sub < 1:
+        raise ValueError("n_sub must be at least 1")
     verts = path.vertices
-    return float(_midpoint_rule(cfg, verts[:-1], verts[1:], n_sub).sum())
+    return float(_segment_integrals(cfg, verts[:-1], verts[1:]).sum())

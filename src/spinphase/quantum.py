@@ -33,7 +33,7 @@ from .fields import (
     PlanarPath,
     PulseProfile,
     UnitSystem,
-    _midpoint_rule,
+    _segment_integrals,
     eval_A,
     line_integral_A,
     pulse_integral_B,
@@ -103,7 +103,10 @@ def sab_precession_angle(pulse: PulseProfile, t: float, units: UnitSystem) -> fl
 def ac_precession_angle(
     cfg: FieldConfig, path: PlanarPath, units: UnitSystem | None = None, n_sub: int = 32
 ) -> float:
-    """Spin precession angle -(2 mu / hbar) integral A . dr along the path."""
+    """Spin precession angle -(2 mu / hbar) integral A . dr along the path.
+
+    The integral is exact (line_integral_A); ``n_sub`` has no effect.
+    """
     units = units or cfg.units
     return -2.0 * units.mu / units.hbar * line_integral_A(cfg, path, n_sub)
 
@@ -119,22 +122,25 @@ def verify_gauge_cancellation(
 
     The gauge transformation removes the coupling exactly when this
     combination vanishes. grad(gamma) is evaluated at each segment midpoint by
-    central differences of quadrature-computed sub-path angles (step fd_step),
-    so the check validates the line quadrature against the directly evaluated
-    potential rather than assuming the analytic relation. The residual shrinks
-    quadratically with fd_step. The 2 n_segments stencil sub-paths share one
-    quadrature call and the midpoints one eval_A call.
+    central differences of the exact sub-path angles (step fd_step), so the
+    check compares the integrated potential with the directly evaluated one
+    rather than assuming the analytic relation. The residual shrinks
+    quadratically with fd_step. The 2 n_segments stencil sub-paths are
+    integrated in one array pass and the midpoints take one eval_A call.
+    ``n_sub`` has no effect; it must still be at least 1.
 
     Raises
     ------
     SingularPoint
-        If a stencil sub-path meets a charge (the error carries the path
+        If a stencil sub-path passes a charge (the error carries the path
         segment whose midpoint it belongs to) or a midpoint lies on one.
     ValueError
         If fd_step is not positive or n_sub is below 1.
     """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
+    if n_sub < 1:
+        raise ValueError("n_sub must be at least 1")
     units = units or cfg.units
     verts = path.vertices
     mids = 0.5 * (verts[:-1] + verts[1:])
@@ -143,7 +149,7 @@ def verify_gauge_cancellation(
     starts = (mids[:, None, :] - steps).reshape(-1, 2)
     ends = (mids[:, None, :] + steps).reshape(-1, 2)
     try:
-        angles = -2.0 * units.mu / units.hbar * _midpoint_rule(cfg, starts, ends, n_sub)
+        angles = -2.0 * units.mu / units.hbar * _segment_integrals(cfg, starts, ends)
     except SingularPoint as exc:
         raise SingularPoint(exc.point, segment=exc.segment // 2) from None
     grad = angles.reshape(-1, 2) / (2.0 * fd_step)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import ac_force_fd, integrate_ac_per_segment
+from spinphase import classical
 from spinphase import (
     ClassicalDipole,
     FieldConfig,
@@ -328,7 +331,98 @@ class TestAcIntegrator:
         assert excinfo.value.segment == 1
 
 
+def _outcome(integrate, *args):
+    """The final moment, or the type and text of the error raised."""
+    try:
+        return tuple(integrate(*args).vector)
+    except (SingularPoint, StepTooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def ac_cases(draw):
+    """Random paths (some with repeated vertices), charges, speeds and dt."""
+    coord = st.floats(-2.0, 2.0)
+    verts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(verts) - 1))
+        verts.insert(k, verts[k])  # a zero-length segment
+    charges = [LineCharge(x, y, draw(st.floats(-0.3, 0.3))) for x, y in draw(st.lists(st.tuples(coord, coord), max_size=3))]
+    units = UnitSystem(Gamma=draw(st.floats(0.5, 2.0)), c=draw(st.floats(0.5, 2.0)))
+    speeds = draw(st.lists(st.floats(0.3, 3.0), min_size=len(verts) - 1, max_size=len(verts) - 1))
+    dt = draw(st.floats(2e-3, 0.1))
+    dipole = ClassicalDipole(mu=draw(st.floats(0.5, 2.0)), theta=draw(st.floats(0.0, math.pi)), azimuth=draw(st.floats(-3.0, 3.0)))
+    return dipole, FieldConfig(charges=charges, units=units), KinematicPath(PlanarPath(np.array(verts)), speeds), dt
+
+
+class TestGatheredAcIntegrator:
+    """integrate_precession_ac against the segment-by-segment loop."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(ac_cases())
+    def test_equals_per_segment_loop(self, case):
+        assert _outcome(integrate_precession_ac, *case) == _outcome(integrate_ac_per_segment, *case)
+
+    def test_long_and_short_segments_equal_per_segment_loop(self, unit_charge):
+        # segments of 165 to 1,321 steps: segments 1 and 2 each fill a block,
+        # and the rest of segment 2 shares one evaluation with segment 3
+        verts = np.array([[2.0, 0.0], [2.0, 0.3], [1.5, 1.5], [-2.0, 1.0], [-2.0, 0.7], [-1.8, 0.2]])
+        kin = KinematicPath(PlanarPath(verts), [1.0, 0.7, 2.0, 1.3, 0.4])
+        dt = 3.6 / (5 * RATE_BLOCK_STEPS // 2)
+        d0 = ClassicalDipole(mu=1.0, theta=1.2, azimuth=0.3)
+        assert _outcome(integrate_precession_ac, d0, unit_charge, kin, dt) == _outcome(
+            integrate_ac_per_segment, d0, unit_charge, kin, dt
+        )
+
+    def test_singular_point_names_lowest_segment(self):
+        # one gathered block of 10 one-step segments; the first charge sits on
+        # the midpoint stage of segment 6, the second on that of segment 3
+        cfg = FieldConfig(charges=[LineCharge(6.5, 0.0, 1.0), LineCharge(3.5, 0.0, 1.0)], units=GAMMA_ONE)
+        verts = np.stack([np.arange(11.0), np.zeros(11)], axis=1)
+        kin = KinematicPath.uniform(PlanarPath(verts), 1.0)
+        for integrate in (integrate_precession_ac, integrate_ac_per_segment):
+            with pytest.raises(SingularPoint) as excinfo:
+                integrate(ClassicalDipole(theta=0.5), cfg, kin, 1.0)
+            assert excinfo.value.segment == 3
+            assert excinfo.value.point == (3.5, 0.0)
+
+    def test_step_too_large_before_a_singular_segment(self, unit_charge):
+        # segment 0 fails its first step before segment 1, gathered with it,
+        # reaches the charge
+        verts = np.array([[0.05, -1.0], [0.05, 1.0], [0.0, 1.0], [0.0, -1.0]])
+        kin = KinematicPath.uniform(PlanarPath(verts), 1.0)
+        with pytest.raises(StepTooLarge, match="reduce dt"):
+            integrate_precession_ac(ClassicalDipole(theta=math.pi / 2), unit_charge, kin, 0.5)
+
+    def test_batches_hold_at_most_a_block_of_steps(self, unit_charge, monkeypatch):
+        rng = np.random.default_rng(5)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 200))
+        verts = 1.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        kin = KinematicPath(PlanarPath(verts), rng.uniform(0.3, 3.0, 199))
+        d0 = ClassicalDipole(mu=1.0, theta=0.8)
+        expected = integrate_ac_per_segment(d0, unit_charge, kin, 2e-3).vector
+        sizes = []
+
+        def recording_eval_A(cfg, p):
+            sizes.append(len(p))
+            return eval_A(cfg, p)
+
+        monkeypatch.setattr(classical, "eval_A", recording_eval_A)
+        got = integrate_precession_ac(d0, unit_charge, kin, 2e-3).vector
+        assert got.tolist() == expected.tolist()
+        steps = sum(len(times) // 2 for i, d in enumerate(np.diff(verts, axis=0))
+                    for _, times in classical._stage_blocks(0.0, float(np.linalg.norm(d)) / kin.speeds[i], 2e-3))
+        # each segment adds 2k + 1 points for its k steps
+        assert sum(sizes) == 2 * steps + 199
+        assert 1 < len(sizes) < 199
+        assert max(sizes) <= 3 * RATE_BLOCK_STEPS
+
+
 class TestAcForce:
+    def test_aligned_moment_feels_exactly_nothing(self, unit_charge):
+        F = ac_force(ClassicalDipole(mu=1.7, theta=0.0), unit_charge, [3e-5, 0.0], [0.8, 0.1])
+        assert F.tolist() == [0.0, 0.0, 0.0]
+
     def test_aligned_dipole_feels_nothing(self, unit_charge):
         d = ClassicalDipole(mu=1.0, theta=0.0)
         F = ac_force(d, unit_charge, [1.3, -0.4], [0.8, 0.1])
@@ -364,6 +458,53 @@ class TestAcForce:
             F = ac_force(d, unit_charge, p, v)
             assert abs(F[0]) < 1e-8 * max(1.0, abs(F[2]))
             assert abs(F[1]) < 1e-8 * max(1.0, abs(F[2]))
+
+    def test_matches_finite_difference_far_from_charges(self):
+        rng = np.random.default_rng(8)
+        cfg = FieldConfig(charges=[LineCharge(0.3, -0.2, 1.4), LineCharge(-0.5, 0.6, -0.8)], units=UnitSystem(c=1.3))
+        for _ in range(30):
+            p = rng.uniform(1.0, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+            v = rng.uniform(-2.0, 2.0, 2)
+            d = ClassicalDipole(mu=rng.uniform(0.5, 2.0), theta=rng.uniform(0.0, math.pi), azimuth=rng.uniform(-3.0, 3.0))
+            np.testing.assert_allclose(ac_force(d, cfg, p, v), ac_force_fd(d, cfg, p, v), rtol=0.0, atol=1e-8)
+
+    def test_exact_near_a_charge(self):
+        # at distance 3e-5 the h = 1e-5 stencil is off by a third; the
+        # closed form keeps F_z = -mu / d^2 of test_hand_computed_z_force
+        cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 2.0 * math.pi)], units=GAMMA_ONE)
+        d = ClassicalDipole(mu=1.0, theta=math.pi / 2, azimuth=math.pi / 2)
+        F = ac_force(d, cfg, [3e-5, 0.0], [1.0, 0.0])
+        assert F[2] == pytest.approx(-1.0 / 9e-10, rel=1e-14)
+        assert abs(ac_force_fd(d, cfg, [3e-5, 0.0], [1.0, 0.0])[2] / F[2] - 1.0) > 0.1
+
+    def test_linear_in_the_in_plane_moment(self, unit_charge):
+        rng = np.random.default_rng(9)
+        p, v = [1.1, -0.7], [0.4, 1.3]
+
+        def force(xy, z):
+            return ac_force(ClassicalDipole.from_vector([xy[0], xy[1], z]), unit_charge, p, v)
+
+        for _ in range(10):
+            u, w = rng.uniform(-2.0, 2.0, (2, 2))
+            alpha, beta = rng.uniform(-2.0, 2.0, 2)
+            z = rng.uniform(-1.0, 1.0, 3)
+            expected = alpha * force(u, z[1]) + beta * force(w, z[2])
+            np.testing.assert_allclose(force(alpha * u + beta * w, z[0]), expected, rtol=1e-12, atol=1e-14)
+
+    def test_invariant_under_a_shift(self):
+        rng = np.random.default_rng(10)
+        charges = [(0.3, -0.2, 1.4), (-0.5, 0.6, -0.8)]
+        d = ClassicalDipole(mu=1.3, theta=1.0, azimuth=0.4)
+        p, v = np.array([1.2, 0.9]), np.array([0.5, -1.5])
+        F = ac_force(d, FieldConfig(charges=[LineCharge(*c) for c in charges]), p, v)
+        for _ in range(5):
+            s = rng.uniform(-5.0, 5.0, 2)
+            moved = FieldConfig(charges=[LineCharge(x + s[0], y + s[1], lam) for x, y, lam in charges])
+            np.testing.assert_allclose(ac_force(d, moved, p + s, v), F, rtol=1e-12, atol=0.0)
+
+    def test_singular_point(self, unit_charge):
+        with pytest.raises(SingularPoint):
+            ac_force(ClassicalDipole(theta=1.0), unit_charge, [0.0, 1e-10], [1.0, 0.0])
 
 
 class TestClosedLoopTheorem:

@@ -651,6 +651,27 @@ class TestErrors:
         assert main(["--config", str(cfg)]) == 3
         assert "singular point (0.0, 3.0) (path segment 1)" in capsys.readouterr().err
 
+    def test_near_charge_chord_names_lowest_segment(self, tmp_path, capsys):
+        # segment 3 passes 5e-10 from the first charge and segment 1 passes
+        # 4e-10 from the second, both between their vertices; no midpoint
+        # sample came that close, so such paths used to exit 0
+        charges = [{"x": 0.0, "y": -1.0, "lambda": 1.0}, {"x": 0.0, "y": 1.0, "lambda": 1.0}]
+        verts = [[-1.0, 3.0], [-1.0, 1.0 + 4e-10], [1.0, 1.0 + 4e-10], [1.0, -1.0 + 5e-10], [-1.0, -1.0 + 5e-10]]
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "mode": "ac-classical",
+                "field": {"charges": charges, "units": NATURAL_UNITS},
+                "path": {"vertices": verts},
+                "theta": 0.5,
+                "out": str(tmp_path / "x.csv"),
+            },
+        )
+        assert main(["--config", str(cfg)]) == 3
+        assert f"singular point (0.0, {1.0 + 4e-10!r}) (path segment 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def overflow_config(self, tmp_path, third_vertex):
         # segment 0's angle, -2e8 times an integral near 3e300, overflows;
         # segment 1 ends at the third vertex

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinphase import (
     FieldConfig,
@@ -20,8 +20,10 @@ from spinphase import (
     line_integral_A,
     pulse_integral_B,
 )
-from spinphase import fields
-from spinphase.fields import MIDPOINT_BLOCK_POINTS, _midpoint_rule
+from spinphase.fields import SINGULAR_DISTANCE, _segment_integrals
+
+import reference
+from reference import MIDPOINT_BLOCK_POINTS, midpoint_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,15 +80,6 @@ class TestEvalE:
         E = eval_E(single_charge_2pi, pts)
         np.testing.assert_allclose(E, [[1.0, 0.0], [0.0, 0.5]], atol=1e-15)
 
-    def test_extra_field_hook(self, unit_charge):
-        cfg = FieldConfig(
-            charges=list(unit_charge.charges),
-            extra_field=lambda pts: np.full_like(pts, 0.5),
-        )
-        base = eval_E(unit_charge, [2.0, 0.0])
-        hooked = eval_E(cfg, [2.0, 0.0])
-        np.testing.assert_allclose(hooked, base + 0.5)
-
 
 class TestEvalA:
     def test_quarter_turn_of_E(self, single_charge_2pi):
@@ -132,101 +125,200 @@ class TestDivergence:
 
 class TestLineIntegral:
     def test_enclosed_charge_circle(self, unit_charge):
-        # exact value 1.0 = lambda/(eps0 c^2); midpoint rule needs n_sub=64
-        # on a 64-gon to get below 1e-6 (n_sub=16 leaves ~3e-6)
+        # exact value 1.0 = lambda/(eps0 c^2), for any polygon around the charge
         loop = PlanarPath.circle((0.0, 0.0), 1.0, 64)
-        assert line_integral_A(unit_charge, loop, 64) == pytest.approx(1.0, abs=1e-6)
+        assert line_integral_A(unit_charge, loop) == pytest.approx(1.0, rel=1e-14)
 
     def test_non_enclosing_square(self, unit_charge):
         square = PlanarPath.polygon([[9.0, 9.0], [11.0, 9.0], [11.0, 11.0], [9.0, 11.0]])
-        assert abs(line_integral_A(unit_charge, square, 32)) < 1e-6
+        assert abs(line_integral_A(unit_charge, square)) < 1e-15
 
     def test_open_path_azimuthal_sweep(self, unit_charge):
         # pure-azimuthal A: integral = (lambda/(2 pi eps0 c^2)) * delta_azimuth
         path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
-        assert line_integral_A(unit_charge, path, 512) == pytest.approx(0.25, abs=1e-6)
+        assert line_integral_A(unit_charge, path) == pytest.approx(0.25, rel=1e-15)
 
     def test_loop_shape_independence(self):
         cfg = FieldConfig(charges=[LineCharge(0.2, -0.1, 0.7), LineCharge(-0.3, 0.4, -1.9)])
         circle = PlanarPath.circle((0.0, 0.0), 2.0, 128)
         square = PlanarPath.polygon([[-3.0, -3.0], [3.0, -3.0], [3.0, 3.0], [-3.0, 3.0]])
-        a = line_integral_A(cfg, circle, 64)
-        b = line_integral_A(cfg, square, 2048)
-        assert a == pytest.approx(b, abs=1e-6)
-        assert a == pytest.approx((0.7 - 1.9), abs=1e-6)
+        a = line_integral_A(cfg, circle)
+        b = line_integral_A(cfg, square)
+        assert a == pytest.approx(b, abs=1e-14)
+        assert a == pytest.approx((0.7 - 1.9), abs=1e-14)
 
     def test_reversal_negates(self, unit_charge):
         path = PlanarPath(np.array([[2.0, 0.0], [1.5, 1.0], [0.0, 2.0]]))
-        forward = line_integral_A(unit_charge, path, 64)
-        backward = line_integral_A(unit_charge, path.reversed(), 64)
-        assert forward == pytest.approx(-backward, abs=1e-12)
+        forward = line_integral_A(unit_charge, path)
+        backward = line_integral_A(unit_charge, path.reversed())
+        assert forward == pytest.approx(-backward, abs=1e-15)
+
+    def test_n_sub_has_no_effect(self, unit_charge):
+        path = PlanarPath(np.array([[2.0, 0.0], [1.5, 1.0], [0.0, 2.0]]))
+        assert {line_integral_A(unit_charge, path, n) for n in (1, 7, 32, 4096)} == {line_integral_A(unit_charge, path)}
+        with pytest.raises(ValueError, match="n_sub"):
+            line_integral_A(unit_charge, path, 0)
 
     def test_singular_sample_reports_segment(self, unit_charge):
-        # odd n_sub puts a midpoint sample exactly on the charge
+        # segment 2 runs through the charge
         path = PlanarPath(np.array([[-1.0, 5.0], [1.0, 5.0], [1.0, 0.0], [-1.0, 0.0]]))
         with pytest.raises(SingularPoint) as excinfo:
-            line_integral_A(unit_charge, path, 31)
+            line_integral_A(unit_charge, path)
         assert excinfo.value.segment == 2
+        assert excinfo.value.point == (0.0, 0.0)
 
     def test_singular_vertex_reports_segment(self, unit_charge):
+        # the vertex on the charge ends segment 0 and starts segment 1
         path = PlanarPath(np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(SingularPoint) as excinfo:
-            line_integral_A(unit_charge, path, 16)
+            line_integral_A(unit_charge, path)
+        assert excinfo.value.segment == 1
+        assert excinfo.value.point == (0.0, 0.0)
+        # the midpoint oracle applies the same rule
+        with pytest.raises(SingularPoint) as excinfo:
+            midpoint_rule(unit_charge, path.vertices[:-1], path.vertices[1:], 16)
         assert excinfo.value.segment == 1
 
     def test_lowest_segment_named_across_charges(self):
-        # the first charge sits on a sample of segment 3, the second on one
-        # of segment 1: the error names segment 1 and the second charge
+        # the first charge lies on segment 3, the second on segment 1: the
+        # error names segment 1 and its closest point to the second charge
         cfg = FieldConfig(charges=[LineCharge(0.0, -3.0, 1.0), LineCharge(0.0, 3.0, 1.0)])
         path = PlanarPath(np.array([[-1.0, 5.0], [-1.0, 3.0], [1.0, 3.0], [1.0, -3.0], [-1.0, -3.0]]))
         with pytest.raises(SingularPoint) as excinfo:
-            line_integral_A(cfg, path, 31)
+            line_integral_A(cfg, path)
         assert excinfo.value.segment == 1
         assert excinfo.value.point == (0.0, 3.0)
 
     def test_singular_segment_in_a_later_block(self):
-        # blocks of 65 segments at n_sub = 1000; the first sample of segment
-        # 90 meets the first charge, the first sample of segment 80 the second
+        # the first charge lies on segment 90, the second on segment 80; the
+        # midpoint oracle meets them in different blocks of 65 segments
         cfg = FieldConfig(charges=[LineCharge(90.0005, 0.0, 1.0), LineCharge(80.0005, 0.0, 1.0)])
         verts = np.stack([np.arange(101.0), np.zeros(101)], axis=1)
         assert 1000 * 80 > MIDPOINT_BLOCK_POINTS
-        with pytest.raises(SingularPoint) as excinfo:
-            line_integral_A(cfg, PlanarPath(verts), 1000)
-        assert excinfo.value.segment == 80
+        for integrate in (lambda: line_integral_A(cfg, PlanarPath(verts)), lambda: midpoint_rule(cfg, verts[:-1], verts[1:], 1000)):
+            with pytest.raises(SingularPoint) as excinfo:
+                integrate()
+            assert excinfo.value.segment == 80
 
     def test_unshared_end_on_charge_reports_its_segment(self, unit_charge):
         # segments that do not form a polyline: the end of segment 1 is no
         # other segment's start
         starts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         ends = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+        for integrate in (_segment_integrals, lambda *args: midpoint_rule(*args, 8)):
+            with pytest.raises(SingularPoint) as excinfo:
+                integrate(unit_charge, starts, ends)
+            assert excinfo.value.segment == 1
+            assert excinfo.value.point == (0.0, 0.0)
+
+    def test_near_charge_chord_raises(self, unit_charge):
+        # segment 1 passes 5e-10 from the charge, between midpoint samples:
+        # the midpoint rule returns a finite, wrong value; the exact form raises
+        path = PlanarPath(np.array([[1.0, 1.0], [-1.0, 5e-10], [1.0, 5e-10]]))
+        assert math.isfinite(midpoint_rule(unit_charge, path.vertices[:-1], path.vertices[1:], 32).sum())
         with pytest.raises(SingularPoint) as excinfo:
-            _midpoint_rule(unit_charge, starts, ends, 8)
+            line_integral_A(unit_charge, path)
         assert excinfo.value.segment == 1
-        assert excinfo.value.point == (0.0, 0.0)
+        assert excinfo.value.point == (0.0, 5e-10)
+        # just beyond SINGULAR_DISTANCE the chord subtends nearly pi
+        far = PlanarPath(np.array([[-1.0, -2 * SINGULAR_DISTANCE], [1.0, -2 * SINGULAR_DISTANCE]]))
+        assert line_integral_A(unit_charge, far) == pytest.approx(0.5, rel=1e-8)
+
+    def test_convergence_in_n_sub(self, unit_charge):
+        # the midpoint oracle converges to the exact value at second order
+        path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
+        exact = line_integral_A(unit_charge, path)
+        errors = [abs(midpoint_rule(unit_charge, path.vertices[:1], path.vertices[1:], n)[0] - exact) for n in (16, 32, 64)]
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
 
     def test_samples_evaluated_in_bounded_blocks(self, unit_charge, monkeypatch):
         verts = np.random.default_rng(3).uniform(1.0, 3.0, size=(301, 2))
-        expected = [line_integral_A(unit_charge, PlanarPath(verts[i : i + 2]), 1000) for i in range(300)]
+        expected = [midpoint_rule(unit_charge, verts[i : i + 1], verts[i + 1 : i + 2], 1000)[0] for i in range(300)]
         sizes = []
 
         def recording_eval_A(cfg, p):
             sizes.append(len(p))
             return eval_A(cfg, p)
 
-        monkeypatch.setattr(fields, "eval_A", recording_eval_A)
-        values = _midpoint_rule(unit_charge, verts[:-1], verts[1:], 1000)
+        monkeypatch.setattr(reference, "eval_A", recording_eval_A)
+        values = midpoint_rule(unit_charge, verts[:-1], verts[1:], 1000)
         assert sizes == [65_000] * 4 + [40_000]
         assert values.tolist() == expected
         # a segment with more samples than a block is a block of its own
         sizes.clear()
-        _midpoint_rule(unit_charge, verts[:3], verts[1:4], MIDPOINT_BLOCK_POINTS + 1)
+        midpoint_rule(unit_charge, verts[:3], verts[1:4], MIDPOINT_BLOCK_POINTS + 1)
         assert sizes == [MIDPOINT_BLOCK_POINTS + 1] * 3
 
-    def test_convergence_in_n_sub(self, unit_charge):
-        path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
-        errors = [abs(line_integral_A(unit_charge, path, n) - 0.25) for n in (16, 32, 64)]
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
-        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
+
+def _charges(draw, n, radius):
+    """n charges with |lambda| in [0.1, 2] at distances up to ``radius`` from the origin."""
+    out = []
+    for _ in range(n):
+        r = draw(st.floats(0.0, radius))
+        phi = draw(st.floats(0.0, TWO_PI))
+        lam = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        out.append(LineCharge(r * math.cos(phi), r * math.sin(phi), lam))
+    return out
+
+
+@st.composite
+def star_loops(draw):
+    """A closed counterclockwise star polygon around the origin, with radii in
+    [1, 3] and angular gaps under 0.6 pi, plus charges inside its kernel
+    (within 0.25 of the origin) and outside it (beyond 4)."""
+    n = draw(st.integers(6, 40))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n))
+    angles = (np.arange(n) + np.array(jitter)) * TWO_PI / n
+    corners = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    inside = _charges(draw, draw(st.integers(0, 3)), 0.25)
+    outside = [LineCharge(c.x * 20.0 + 4.0 * math.copysign(1.0, c.x or 1.0), c.y * 20.0, c.lam)
+               for c in _charges(draw, draw(st.integers(0, 3)), 1.0)]
+    units = UnitSystem(eps0=draw(st.floats(0.5, 2.0)), c=draw(st.floats(0.5, 2.0)))
+    return PlanarPath.polygon(corners), inside, outside, units
+
+
+class TestExactIntegralProperties:
+    """The exact form against the midpoint oracle and the enclosed-charge law."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(star_loops())
+    def test_star_loop_counts_enclosed_charge(self, case):
+        loop, inside, outside, units = case
+        cfg = FieldConfig(charges=inside + outside, units=units)
+        enclosed = sum(c.lam for c in inside) / (units.eps0 * units.c**2)
+        scale = sum(abs(c.lam) for c in cfg.charges) / (units.eps0 * units.c**2)
+        assert abs(line_integral_A(cfg, loop) - enclosed) <= 1e-12 * max(abs(enclosed), scale, 1e-300)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(star_loops(), st.floats(0.05, 0.95))
+    def test_reversal_and_splitting(self, case, where):
+        loop, inside, outside, units = case
+        cfg = FieldConfig(charges=inside + outside, units=units)
+        verts = loop.vertices
+        forward = _segment_integrals(cfg, verts[:-1], verts[1:])
+        backward = _segment_integrals(cfg, verts[1:], verts[:-1])
+        np.testing.assert_array_equal(backward, -forward)
+        # a point inserted on every segment leaves each segment's value additive
+        mids = verts[:-1] + where * (verts[1:] - verts[:-1])
+        split = _segment_integrals(cfg, verts[:-1], mids) + _segment_integrals(cfg, mids, verts[1:])
+        scale = sum(abs(c.lam) for c in cfg.charges) / (units.eps0 * units.c**2)
+        np.testing.assert_allclose(split, forward, rtol=0.0, atol=1e-14 * max(scale, 1e-300))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(star_loops(), st.sampled_from((8, 16, 32)))
+    def test_agrees_with_richardson_estimate(self, case, n):
+        loop, inside, outside, units = case
+        cfg = FieldConfig(charges=inside + outside, units=units)
+        starts, ends = loop.vertices[:-1], loop.vertices[1:]
+        exact = _segment_integrals(cfg, starts, ends)
+        m1, m2, m4 = (midpoint_rule(cfg, starts, ends, k) for k in (n, 2 * n, 4 * n))
+        coarse = 4.0 / 3.0 * (m2 - m1) + m1
+        fine = 4.0 / 3.0 * (m4 - m2) + m2
+        # the fine estimate's error is O(n^-4): about 1/15 of |fine - coarse|
+        scale = sum(abs(c.lam) for c in cfg.charges) / (units.eps0 * units.c**2)
+        assert np.all(np.abs(exact - fine) <= np.abs(fine - coarse) + 1e-13 * scale)
 
 
 class TestPulseIntegral:
@@ -322,8 +414,3 @@ class TestSerialization:
         assert doc["charges"] == [{"x": 1.0, "y": 2.0, "lambda": 3.0}]
         assert doc["pulse"] == {"shape": "rectangular", "B0": 1.0, "t_on": 0.0, "t_off": 1.0}
         assert set(doc["units"]) == {"hbar", "c", "eps0", "mu", "Gamma", "m"}
-
-    def test_callbacks_not_serializable(self):
-        cfg = FieldConfig(extra_field=lambda pts: pts)
-        with pytest.raises(ValueError):
-            cfg.to_dict()
