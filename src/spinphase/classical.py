@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +81,8 @@ class ClassicalDipole:
 class KinematicPath:
     """A planar path traversed at piecewise-constant speed.
 
-    One positive speed per segment (a scalar broadcasts); the z-velocity is
-    identically zero.
+    One finite positive speed per segment (a scalar broadcasts); the
+    z-velocity is identically zero.
     """
 
     path: PlanarPath
@@ -91,6 +90,8 @@ class KinematicPath:
 
     def __post_init__(self) -> None:
         s = np.broadcast_to(np.asarray(self.speeds, dtype=float), (self.path.n_segments,)).copy()
+        if not np.all(np.isfinite(s)):
+            raise ValueError("segment speeds must be finite")
         if np.any(s <= 0.0):
             raise ValueError("segment speeds must be positive")
         object.__setattr__(self, "speeds", s)
@@ -108,69 +109,119 @@ def precess_sab_closed_form(
     The azimuth advances by gamma(t) = -Gamma * integral_0^t B(t') dt'; the
     tilt is unchanged.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     gamma = -units.Gamma * pulse_integral_B(pulse, 0.0, t)
     return replace(dipole, azimuth=dipole.azimuth + gamma)
 
 
-def _stage_blocks(t0: float, t1: float, dt: float):
-    """Step size h and the stage times of fixed-step RK4 over [t0, t1], in blocks.
+def _stage_grid(t0: np.ndarray, t1: np.ndarray, dt: float):
+    """Stage times of fixed-step RK4 over every window [t0[w], t1[w]], in blocks.
 
-    n = ceil(span / dt) steps of size h = span / n; each block covers at most
-    RATE_BLOCK_STEPS consecutive steps, k of them, as 2k + 1 times: step
-    starts at even indices, step midpoints at odd ones and the end of the
-    block's last step last. Times come from the step index, and the last
-    stage lands exactly on t1.
+    Window w takes n = ceil(span / dt) steps of size h = span / n, none if
+    its span is not positive. A block holds at most RATE_BLOCK_STEPS steps:
+    it ends at the last window end within that reach, or cuts a longer
+    window after exactly that many steps. Per block this yields the window
+    and the time of every stage slot, then the slot of every step's first
+    stage and the step's size. A window's k steps in a block take 2k + 1
+    slots: step starts at even offsets, midpoints at odd ones and the end of
+    its last step last. Times come from the step index j as t0 + j h and
+    (t0 + j h) + h / 2, and a window's last stage lands exactly on t1.
     """
     span = t1 - t0
-    if not span > 0.0:
-        return
-    n = max(1, math.ceil(span / dt - 1e-12))
-    h = span / n
-    for first in range(0, n, RATE_BLOCK_STEPS):
-        last = min(first + RATE_BLOCK_STEPS, n)
-        knots = t0 + np.arange(first, last + 1) * h
-        if last == n:
-            knots[-1] = t1
-        times = np.empty(2 * len(knots) - 1)
-        times[0::2] = knots
-        times[1::2] = knots[:-1] + 0.5 * h
-        yield h, times
+    steps = np.where(span > 0.0, np.maximum(np.ceil(span / dt - 1e-12), 1.0), 0.0)
+    live = steps.nonzero()[0]
+    steps, span, t0, t1 = steps[live], span[live], t0[live], t1[live]
+    end = steps.cumsum()
+    total = end[-1] if len(end) else 0.0
+    if not total < 2.0**53:
+        raise OverflowError(f"cannot take {total} RK4 steps")
+    n = steps.astype(np.int64)
+    end = end.astype(np.int64)
+    h = span / steps
+    first = 0
+    while first < total:
+        # windows lo..hi-1 hold the block's steps [first, last)
+        lo = int(end.searchsorted(first, "right"))
+        hi = int(end.searchsorted(first + RATE_BLOCK_STEPS, "right"))
+        if hi > lo:
+            last = int(end[hi - 1])
+        else:
+            last, hi = first + RATE_BLOCK_STEPS, lo + 1
+        k = n[lo:hi].copy()
+        skip = first - (end[lo] - n[lo])  # steps of window lo in earlier blocks
+        k[0] -= skip
+        k[-1] -= end[hi - 1] - last  # steps of window hi - 1 left for later blocks
+        size = 2 * k + 1
+        slot_end = size.cumsum()
+        offset = np.arange(slot_end[-1]) - (slot_end - size).repeat(size)
+        j = offset >> 1
+        j[: size[0]] += skip
+        hw = h[lo:hi].repeat(size)
+        times = t0[lo:hi].repeat(size) + j * hw
+        closed = slot_end - 1 if end[hi - 1] == last else slot_end[:-1] - 1
+        times[closed] = t1[lo : lo + len(closed)]
+        mid = offset & 1
+        times += (0.5 * hw) * mid  # + 0.0 leaves the knots as they are
+        yield live[lo:hi].repeat(size), times, mid.nonzero()[0] - 1, h[lo:hi].repeat(k)
+        first = last
 
 
-def _rk4_precession(m: tuple, mu0: float, rates: list, h: float) -> tuple:
-    """Fixed-step RK4 for mudot = rate(t) (mu_y, -mu_x, 0), k steps of size h.
+def _rk4_scan(m: tuple, mu0: float, r1: np.ndarray, r2: np.ndarray, r4: np.ndarray, h: np.ndarray) -> tuple:
+    """Fixed-step RK4 for mudot = rate(t) (mu_y, -mu_x, 0) as one scan over its steps.
 
-    ``rates`` holds the rate at the 2k + 1 stage times of _stage_blocks, so
-    the recurrence runs on plain floats. |mu| is renormalized to mu0 after
-    every step; a per-step drift beyond MAX_NORM_DRIFT, or a non-finite
-    moment, raises StepTooLarge.
+    Step k has size h[k] and stage rates r1[k], r2[k] (twice) and r4[k].
+    With u = mu_x + i mu_y the equation is u' = -i rate u, so a step is
+    u <- c u, where c = 1 + w comes from RK4's k1..k4 (the truncation error
+    stays); mu_z is unchanged within it. Renormalizing |mu| to mu0 after the
+    step multiplies rho = |u|^2 / mu_z^2 by |c|^2, so the in-plane share
+    s = rho / (1 + rho) before every step follows from a cumulative sum of
+    log|c|^2, and the step's norm ratio is sqrt(1 + (|c|^2 - 1) s). The
+    final azimuth advances by the sum of arg c, and mu_z and |u| scale by
+    products of the per-step factors, taken in log space. The first step
+    whose norm ratio drifts from 1 by more than MAX_NORM_DRIFT, or is not
+    finite (also when u = 0), raises StepTooLarge.
     """
     x, y, z = m
-    half = 0.5 * h
-    sixth = h / 6.0
-    for r1, r2, r4 in zip(rates[0:-1:2], rates[1::2], rates[2::2]):
-        k1x, k1y = r1 * y, r1 * -x
-        k2x, k2y = r2 * (y + half * k1y), r2 * -(x + half * k1x)
-        k3x, k3y = r2 * (y + half * k2y), r2 * -(x + half * k2x)
-        k4x, k4y = r4 * (y + h * k3y), r4 * -(x + h * k3x)
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        nrm = math.sqrt(x * x + y * y + z * z)
-        if not abs(nrm - mu0) <= MAX_NORM_DRIFT * mu0:
-            raise StepTooLarge(
-                f"|mu| drifted by {abs(nrm - mu0) / mu0:.3e} in one step; reduce dt"
-            )
-        scale = mu0 / nrm
-        x, y, z = x * scale, y * scale, z * scale
-    return x, y, z
+    n0 = math.sqrt(x * x + y * y + z * z)
+    with np.errstate(all="ignore"):
+        a, b, d = h * r1, h * r2, h * r4
+        # 6 w = h (k1 + 2 k2 + 2 k3 + k4) / u with k1 = -i r1 u,
+        # k2 = -i r2 (u + h k1 / 2), k3 = -i r2 (u + h k2 / 2), k4 = -i r4 (u + h k3)
+        ad = a + d
+        wr6 = b * (0.25 * a * b * d - ad - b)
+        wi6 = ad * (0.5 * b * b - 1.0) - 4.0 * b
+        g = (12.0 * wr6 + wr6 * wr6 + wi6 * wi6) / 36.0  # |c|^2 - 1
+        grow = np.log1p(g)
+        if x == 0.0 and y == 0.0:
+            s = 0.0
+        elif z == 0.0:
+            s = 1.0
+        else:
+            log_rho = np.empty_like(grow)
+            log_rho[0] = 2.0 * (math.log(math.hypot(x, y)) - math.log(abs(z)))
+            log_rho[1:] = grow[:-1]
+            s = 1.0 / (1.0 + np.exp(-log_rho.cumsum()))
+        gs = g * s
+        ratio = np.sqrt(1.0 + gs)
+        ratio[0] *= n0 / mu0  # the moment entering the scan is mu0 only to rounding
+        drift = abs(ratio - 1.0)
+        if not drift.max() <= MAX_NORM_DRIFT:
+            k = int((~(drift <= MAX_NORM_DRIFT)).argmax())
+            raise StepTooLarge(f"|mu| drifted by {drift[k]:.3e} in one step; reduce dt")
+        phase = float(np.arctan2(wi6, 6.0 + wr6).sum())
+        shrink = 0.5 * float(np.log1p(gs).sum())
+        scale = mu0 / n0
+        uf = scale * math.exp(0.5 * float(grow.sum()) - shrink)
+    cp, sp = math.cos(phase), math.sin(phase)
+    return uf * (x * cp - y * sp), uf * (x * sp + y * cp), z * scale * math.exp(-shrink)
 
 
-def _dipole_from(m: np.ndarray, mu: float) -> ClassicalDipole:
-    nrm = float(np.linalg.norm(m))
-    theta = math.acos(max(-1.0, min(1.0, m[2] / nrm)))
-    return ClassicalDipole(mu=mu, theta=theta, azimuth=math.atan2(m[1], m[0]))
+def _dipole_from(m: tuple, mu: float) -> ClassicalDipole:
+    """The dipole of magnitude mu along m; the tilt comes from atan2, which
+    stays accurate near the poles, where acos(m_z / |m|) does not."""
+    x, y, z = m
+    return ClassicalDipole(mu=mu, theta=math.atan2(math.hypot(x, y), z), azimuth=math.atan2(y, x))
 
 
 def integrate_precession_sab(
@@ -180,25 +231,26 @@ def integrate_precession_sab(
 
     Steps are aligned to the pulse knots so the field is smooth within every
     step; intervals outside the pulse support are skipped (B vanishes there).
-    The stage rates are evaluated in one batch per window before the
-    recurrence runs: the field is read once per stage time (2n + 1 times for
-    n steps), in blocks of at most RATE_BLOCK_STEPS (1024) steps.
-    Agrees with precess_sab_closed_form to the integrator accuracy. Fixed
-    stepping keeps reruns reproducible; choose dt so a step subtends well
-    under 0.01 rad (|Gamma| max|B| dt < 0.01).
+    One stage grid covers all the remaining intervals, in blocks of at most
+    RATE_BLOCK_STEPS (1024) steps: the field is read once per stage time
+    (2n + 1 times for an interval's n steps), and the recurrence then runs
+    as one scan per block (_rk4_scan). Agrees with precess_sab_closed_form
+    to the integrator accuracy. Fixed stepping keeps reruns reproducible;
+    choose dt so a step subtends well under 0.01 rad
+    (|Gamma| max|B| dt < 0.01).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
-    knots = sorted({0.0, t, *(k for k in pulse.knots() if 0.0 < k < t)})
-    m = tuple(dipole.vector.tolist())
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= pulse.t_on or a >= pulse.t_off:
-            continue
-        for h, times in _stage_blocks(a, b, dt):
-            rates = [units.Gamma * pulse.field_at(s) for s in times.tolist()]
-            m = _rk4_precession(m, dipole.mu, rates, h)
+    knots = np.array(sorted({0.0, t, *(k for k in pulse.knots() if 0.0 < k < t)}))
+    a, b = knots[:-1], knots[1:]
+    live = ~((b <= pulse.t_on) | (a >= pulse.t_off))
+    Gamma = units.Gamma
+    m = _moment(dipole.mu, dipole.theta, dipole.azimuth)
+    for _, times, step, h in _stage_grid(a[live], b[live], dt):
+        rates = np.array([Gamma * pulse.field_at(s) for s in times.tolist()])
+        m = _rk4_scan(m, dipole.mu, rates[step], rates[step + 1], rates[step + 2], h)
     return _dipole_from(m, dipole.mu)
 
 
@@ -222,59 +274,13 @@ def precess_ac_closed_form(
     return replace(dipole, azimuth=dipole.azimuth + gamma), gamma
 
 
-class _Piece(NamedTuple):
-    """One RK4 block of a path segment: k steps of size h over 2k + 1 stage
-    points start + frac * d, traversed at velocity v."""
-
-    segment: int
-    h: float
-    frac: np.ndarray
-    v: np.ndarray
-    start: np.ndarray
-    d: np.ndarray
-
-
-def _pieces(kin: KinematicPath, dt: float):
-    """The RK4 blocks of every segment along the path, in order; a segment
-    of zero length has none."""
-    verts = kin.path.vertices
-    for i in range(kin.path.n_segments):
-        d = verts[i + 1] - verts[i]
-        length = float(np.linalg.norm(d))
-        if length == 0.0:
-            continue
-        speed = float(kin.speeds[i])
-        v = (speed / length) * d
-        tau = length / speed
-        for h, times in _stage_blocks(0.0, tau, dt):
-            yield _Piece(i, h, times / tau, v, verts[i], d)
-
-
-def _gathered(pieces):
-    """Consecutive pieces grouped so that each group holds at most
-    RATE_BLOCK_STEPS steps; a piece of a full block is a group of its own."""
-    group, steps = [], 0
-    for piece in pieces:
-        k = len(piece.frac) // 2
-        if group and steps + k > RATE_BLOCK_STEPS:
-            yield group
-            group, steps = [], 0
-        group.append(piece)
-        steps += k
-    if group:
-        yield group
-
-
-def _stage_rates(cfg: FieldConfig, Gamma: float, group: list) -> list:
-    """Gamma (A . v) at the stage points of a group of pieces from one eval_A
-    call, elementwise the same floats as one call per piece."""
-    counts = [len(piece.frac) for piece in group]
-    frac = np.concatenate([piece.frac for piece in group])
-    start = np.repeat([piece.start for piece in group], counts, axis=0)
-    d = np.repeat([piece.d for piece in group], counts, axis=0)
-    v = np.repeat([piece.v for piece in group], counts, axis=0)
-    A = eval_A(cfg, start + frac[:, None] * d)
-    return (Gamma * (A[:, 0] * v[:, 0] + A[:, 1] * v[:, 1])).tolist()
+def _ac_scan(m, mu, cfg, Gamma, pts, seg, step, h) -> tuple:
+    """_rk4_scan over a block's steps, the rates Gamma (A . v) read at its
+    stage points from one eval_A call; ``seg`` holds each point's segment
+    column (start, d, tau, v)."""
+    A = eval_A(cfg, pts)
+    rates = Gamma * (A[:, 0] * seg[5] + A[:, 1] * seg[6])
+    return _rk4_scan(m, mu, rates[step], rates[step + 1], rates[step + 2], h)
 
 
 def integrate_precession_ac(
@@ -289,39 +295,53 @@ def integrate_precession_ac(
     With v and E planar, v x E points along z and the torque reduces to
     mudot = Gamma (A . v) (mu_y, -mu_x, 0); the final dipole depends only on
     the geometric path, not on the speed profile. The rate depends on time
-    only, so the stage rates are evaluated before the recurrence runs. A
-    segment's n steps have 2n + 1 stage points, split into blocks of at most
-    RATE_BLOCK_STEPS (1024) steps; the blocks of consecutive segments are
-    gathered into one eval_A call holding at most RATE_BLOCK_STEPS steps, and
-    each segment then runs the recurrence with its own step size. Choose dt
-    so a step subtends well under 0.01 rad (|Gamma| max|A| speed dt < 0.01).
+    only, so the stage rates are evaluated before the recurrence runs. One
+    stage grid covers every segment (n steps, 2n + 1 stage points; none for
+    a segment of zero length), cut into blocks of at most RATE_BLOCK_STEPS
+    (1024) steps that end at a segment end where one is in reach. Each block
+    takes one eval_A call, each point with its own segment's velocity, and
+    one scan (_rk4_scan), each step with its own segment's step size.
+    Choose dt so a step subtends well under 0.01 rad
+    (|Gamma| max|A| speed dt < 0.01).
 
     Raises SingularPoint carrying the segment index if a stage point comes
     within fields.SINGULAR_DISTANCE of a charge. That error, or a
     StepTooLarge of an earlier segment, is the one a segment-by-segment
     integration raises.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     Gamma = (units or cfg.units).Gamma
-    m = tuple(dipole.vector.tolist())
-    for group in _gathered(_pieces(kin, dt)):
+    verts = kin.path.vertices
+    d = verts[1:] - verts[:-1]
+    # the dot np.linalg.norm takes of each segment, so lengths match it bit for bit
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = length / kin.speeds
+        # one column per segment: start (rows 0, 1), d (2, 3), tau (4), velocity (5, 6)
+        table = np.vstack([verts[:-1].T, d.T, tau, (kin.speeds / length) * d.T])
+    m = _moment(dipole.mu, dipole.theta, dipole.azimuth)
+    for window, times, step, h in _stage_grid(np.zeros_like(tau), tau, dt):
+        seg = table.take(window, axis=1)
+        pts = (seg[0:2] + (times / seg[4]) * seg[2:4]).T
         try:
-            rates = _stage_rates(cfg, Gamma, group)
+            m = _ac_scan(m, dipole.mu, cfg, Gamma, pts, seg, step, h)
         except SingularPoint:
-            # cold path: block by block, so that the first failure raises
-            for piece in group:
-                try:
-                    piece_rates = _stage_rates(cfg, Gamma, [piece])
-                except SingularPoint as exc:
-                    raise SingularPoint(exc.point, segment=piece.segment) from None
-                m = _rk4_precession(m, dipole.mu, piece_rates, piece.h)
-            continue
-        first = 0
-        for piece in group:
-            last = first + len(piece.frac)
-            m = _rk4_precession(m, dipole.mu, rates[first:last], piece.h)
-            first = last
+            # the lowest segment with a stage point near a charge fails, after
+            # the steps before it
+            charges = np.array([charge.position for charge in cfg.charges])
+            diff = pts[:, None, :] - charges
+            near = (diff[..., 0] ** 2 + diff[..., 1] ** 2 < SINGULAR_DISTANCE**2).any(axis=1)
+            segment = int(window[near.argmax()])
+            ahead = int(window.searchsorted(segment))
+            steps = int(step.searchsorted(ahead))
+            if steps:
+                m = _ac_scan(m, dipole.mu, cfg, Gamma, pts[:ahead], seg[:, :ahead], step[:steps], h[:steps])
+            try:
+                eval_A(cfg, pts[window == segment])
+            except SingularPoint as exc:
+                raise SingularPoint(exc.point, segment=segment) from None
+            raise
     return _dipole_from(m, dipole.mu)
 
 

@@ -244,20 +244,24 @@ def _ac_series(sc: Scenario, factor: float):
 
     The exact line integrals of all segments come from one call; values
     too large for a float come out non-finite, without a RuntimeWarning, and
-    the caller reports the first such row.
+    the caller reports the first such row. So do the segment lengths, and a
+    path length past the float range raises SpinPhaseError at its row.
     """
     path = _require(sc, "path", "path")
     verts = path.vertices
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         segments = _segment_integrals(sc.field, verts[:-1], verts[1:]).tolist()
+        # the 1-D norm of each segment; norm(axis=1) can round differently in the last bit
+        lengths = [float(np.linalg.norm(d)) for d in verts[1:] - verts[:-1]]
     points = verts.tolist()
     gamma = 0.0
     arclength = 0.0
     yield [0.0, *points[0]], gamma
     for i, segment in enumerate(segments):
         gamma += factor * segment
-        # the 1-D norm of each segment; norm(axis=1) can round differently in the last bit
-        arclength += float(np.linalg.norm(verts[i + 1] - verts[i]))
+        arclength += lengths[i]
+        if not math.isfinite(arclength):
+            raise SpinPhaseError(f"path length {arclength} overflows the float range")
         yield [arclength, *points[i + 1]], gamma
 
 

@@ -95,7 +95,7 @@ def bloch_of(s: Spinor) -> np.ndarray:
 
 def sab_precession_angle(pulse: PulseProfile, t: float, units: UnitSystem) -> float:
     """Spin precession angle -(2 mu / hbar) integral_0^t B(t') dt'."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     return -2.0 * units.mu / units.hbar * pulse_integral_B(pulse, 0.0, t)
 

@@ -1,19 +1,21 @@
 """Numerical stand-ins kept as independent test oracles.
 
-The library integrates A exactly, differentiates E exactly, and gathers the
-RK4 stage rates of consecutive path segments into one field evaluation. The
-forms it replaced live here, so tests can check the library against them:
-the composite midpoint rule for the line integral of A, with its
-sample-based singular check, the segment-by-segment AC integrator, and the
-finite-difference force.
+The library integrates A exactly, differentiates E exactly, and runs the RK4
+recurrence as one scan over a whole-path stage grid. The forms it replaced
+live here, so tests can check the library against them: the composite
+midpoint rule for the line integral of A, with its sample-based singular
+check, the per-window RK4 stage blocks, the plain-float RK4 loop, the
+segment-by-segment AC integrator, and the finite-difference force.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from spinphase.classical import ClassicalDipole, KinematicPath, _dipole_from, _rk4_precession, _stage_blocks
-from spinphase.errors import SingularPoint
+from spinphase.classical import MAX_NORM_DRIFT, RATE_BLOCK_STEPS, ClassicalDipole, KinematicPath, _dipole_from
+from spinphase.errors import SingularPoint, StepTooLarge
 from spinphase.fields import SINGULAR_DISTANCE, FieldConfig, LineCharge, eval_A, eval_E
 
 #: Most midpoint-rule samples evaluated in one batch; a longer path is
@@ -84,8 +86,78 @@ def midpoint_rule(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray, n_sub:
     return out
 
 
+def stage_blocks(t0: float, t1: float, dt: float):
+    """Step size h and the stage times of fixed-step RK4 over [t0, t1], in blocks.
+
+    n = ceil(span / dt) steps of size h = span / n; each block covers at most
+    RATE_BLOCK_STEPS consecutive steps, k of them, as 2k + 1 times: step
+    starts at even indices, step midpoints at odd ones and the end of the
+    block's last step last. Times come from the step index, and the last
+    stage lands exactly on t1.
+    """
+    span = t1 - t0
+    if not span > 0.0:
+        return
+    n = max(1, math.ceil(span / dt - 1e-12))
+    h = span / n
+    for first in range(0, n, RATE_BLOCK_STEPS):
+        last = min(first + RATE_BLOCK_STEPS, n)
+        knots = t0 + np.arange(first, last + 1) * h
+        if last == n:
+            knots[-1] = t1
+        times = np.empty(2 * len(knots) - 1)
+        times[0::2] = knots
+        times[1::2] = knots[:-1] + 0.5 * h
+        yield h, times
+
+
+def rk4_precession(m: tuple, mu0: float, rates: list, h: float) -> tuple:
+    """Fixed-step RK4 for mudot = rate(t) (mu_y, -mu_x, 0), k steps of size h.
+
+    ``rates`` holds the rate at the 2k + 1 stage times of stage_blocks, and
+    the recurrence runs on plain floats, one step at a time. |mu| is
+    renormalized to mu0 after every step; a per-step drift beyond
+    MAX_NORM_DRIFT, or a non-finite moment, raises StepTooLarge.
+    """
+    x, y, z = m
+    half = 0.5 * h
+    sixth = h / 6.0
+    for r1, r2, r4 in zip(rates[0:-1:2], rates[1::2], rates[2::2]):
+        k1x, k1y = r1 * y, r1 * -x
+        k2x, k2y = r2 * (y + half * k1y), r2 * -(x + half * k1x)
+        k3x, k3y = r2 * (y + half * k2y), r2 * -(x + half * k2x)
+        k4x, k4y = r4 * (y + h * k3y), r4 * -(x + h * k3x)
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        nrm = math.sqrt(x * x + y * y + z * z)
+        if not abs(nrm - mu0) <= MAX_NORM_DRIFT * mu0:
+            raise StepTooLarge(
+                f"|mu| drifted by {abs(nrm - mu0) / mu0:.3e} in one step; reduce dt"
+            )
+        scale = mu0 / nrm
+        x, y, z = x * scale, y * scale, z * scale
+    return x, y, z
+
+
+def ac_stage_points(kin: KinematicPath, dt: float) -> list:
+    """The stage points of every segment's stage_blocks, in order, as
+    (segment, points) pairs; a segment of zero length has none."""
+    verts = kin.path.vertices
+    out = []
+    for i in range(kin.path.n_segments):
+        d = verts[i + 1] - verts[i]
+        length = float(np.linalg.norm(d))
+        if length == 0.0:
+            continue
+        tau = length / float(kin.speeds[i])
+        for _, times in stage_blocks(0.0, tau, dt):
+            out.append((i, verts[i] + (times / tau)[:, None] * d))
+    return out
+
+
 def integrate_ac_per_segment(dipole: ClassicalDipole, cfg: FieldConfig, kin: KinematicPath, dt: float):
-    """integrate_precession_ac with one eval_A call per segment block."""
+    """integrate_precession_ac with one eval_A call per segment block and the
+    plain-float RK4 loop."""
     Gamma = cfg.units.Gamma
     verts = kin.path.vertices
     m = tuple(dipole.vector.tolist())
@@ -98,13 +170,13 @@ def integrate_ac_per_segment(dipole: ClassicalDipole, cfg: FieldConfig, kin: Kin
         speed = float(kin.speeds[i])
         v = (speed / length) * d
         tau = length / speed
-        for h, times in _stage_blocks(0.0, tau, dt):
+        for h, times in stage_blocks(0.0, tau, dt):
             try:
                 A = eval_A(cfg, a + (times / tau)[:, None] * d)
             except SingularPoint as exc:
                 raise SingularPoint(exc.point, segment=i) from None
             rates = Gamma * (A[:, 0] * v[0] + A[:, 1] * v[1])
-            m = _rk4_precession(m, dipole.mu, rates.tolist(), h)
+            m = rk4_precession(m, dipole.mu, rates.tolist(), h)
     return _dipole_from(m, dipole.mu)
 
 

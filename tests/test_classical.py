@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ac_force_fd, integrate_ac_per_segment
+from reference import ac_force_fd, ac_stage_points, integrate_ac_per_segment, rk4_precession, stage_blocks
 from spinphase import classical
 from spinphase import (
     ClassicalDipole,
@@ -339,6 +339,15 @@ def _outcome(integrate, *args):
         return type(exc).__name__, str(exc)
 
 
+def assert_same_outcome(got, ref, mu):
+    """The same error, exactly, or finals within 1e-13 mu of each other: the
+    scan rounds in another order than the plain-float loop."""
+    if isinstance(ref[0], str) or isinstance(got[0], str):
+        assert got == ref
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * mu)
+
+
 @st.composite
 def ac_cases(draw):
     """Random paths (some with repeated vertices), charges, speeds and dt."""
@@ -355,13 +364,27 @@ def ac_cases(draw):
     return dipole, FieldConfig(charges=charges, units=units), KinematicPath(PlanarPath(np.array(verts)), speeds), dt
 
 
+def record_eval_A(monkeypatch):
+    """Route classical's eval_A through a recorder; returns the list of the
+    point arrays it receives."""
+    calls = []
+
+    def recording_eval_A(cfg, p):
+        calls.append(np.array(p))
+        return eval_A(cfg, p)
+
+    monkeypatch.setattr(classical, "eval_A", recording_eval_A)
+    return calls
+
+
 class TestGatheredAcIntegrator:
     """integrate_precession_ac against the segment-by-segment loop."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(ac_cases())
     def test_equals_per_segment_loop(self, case):
-        assert _outcome(integrate_precession_ac, *case) == _outcome(integrate_ac_per_segment, *case)
+        got = _outcome(integrate_precession_ac, *case)
+        assert_same_outcome(got, _outcome(integrate_ac_per_segment, *case), case[0].mu)
 
     def test_long_and_short_segments_equal_per_segment_loop(self, unit_charge):
         # segments of 165 to 1,321 steps: segments 1 and 2 each fill a block,
@@ -370,13 +393,12 @@ class TestGatheredAcIntegrator:
         kin = KinematicPath(PlanarPath(verts), [1.0, 0.7, 2.0, 1.3, 0.4])
         dt = 3.6 / (5 * RATE_BLOCK_STEPS // 2)
         d0 = ClassicalDipole(mu=1.0, theta=1.2, azimuth=0.3)
-        assert _outcome(integrate_precession_ac, d0, unit_charge, kin, dt) == _outcome(
-            integrate_ac_per_segment, d0, unit_charge, kin, dt
-        )
+        got = _outcome(integrate_precession_ac, d0, unit_charge, kin, dt)
+        assert_same_outcome(got, _outcome(integrate_ac_per_segment, d0, unit_charge, kin, dt), d0.mu)
 
     def test_singular_point_names_lowest_segment(self):
-        # one gathered block of 10 one-step segments; the first charge sits on
-        # the midpoint stage of segment 6, the second on that of segment 3
+        # one block of 10 one-step segments; the first charge sits on the
+        # midpoint stage of segment 6, the second on that of segment 3
         cfg = FieldConfig(charges=[LineCharge(6.5, 0.0, 1.0), LineCharge(3.5, 0.0, 1.0)], units=GAMMA_ONE)
         verts = np.stack([np.arange(11.0), np.zeros(11)], axis=1)
         kin = KinematicPath.uniform(PlanarPath(verts), 1.0)
@@ -386,6 +408,18 @@ class TestGatheredAcIntegrator:
             assert excinfo.value.segment == 3
             assert excinfo.value.point == (3.5, 0.0)
 
+    def test_singular_segment_in_the_second_block(self, unit_charge):
+        # segment 0 takes 1,100 steps, so the first block cuts it; segment 2
+        # of the second block passes through the charge, and the error names
+        # it and its stage point, as the segment-by-segment loop does
+        verts = np.array([[5.0, 1.0], [5.0 - 1100 * 4e-3, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        cfg = FieldConfig(charges=[LineCharge(-1.0, 0.0, 0.2)], units=GAMMA_ONE)
+        kin = KinematicPath.uniform(PlanarPath(verts), 1.0)
+        d0 = ClassicalDipole(theta=0.7)
+        ref = _outcome(integrate_ac_per_segment, d0, cfg, kin, 4e-3)
+        assert ref[0] == "SingularPoint" and "(path segment 2)" in ref[1]
+        assert _outcome(integrate_precession_ac, d0, cfg, kin, 4e-3) == ref
+
     def test_step_too_large_before_a_singular_segment(self, unit_charge):
         # segment 0 fails its first step before segment 1, gathered with it,
         # reaches the charge
@@ -393,6 +427,9 @@ class TestGatheredAcIntegrator:
         kin = KinematicPath.uniform(PlanarPath(verts), 1.0)
         with pytest.raises(StepTooLarge, match="reduce dt"):
             integrate_precession_ac(ClassicalDipole(theta=math.pi / 2), unit_charge, kin, 0.5)
+        d0 = ClassicalDipole(theta=math.pi / 2)
+        ref = _outcome(integrate_ac_per_segment, d0, unit_charge, kin, 0.5)
+        assert _outcome(integrate_precession_ac, d0, unit_charge, kin, 0.5) == ref
 
     def test_batches_hold_at_most_a_block_of_steps(self, unit_charge, monkeypatch):
         rng = np.random.default_rng(5)
@@ -401,21 +438,185 @@ class TestGatheredAcIntegrator:
         kin = KinematicPath(PlanarPath(verts), rng.uniform(0.3, 3.0, 199))
         d0 = ClassicalDipole(mu=1.0, theta=0.8)
         expected = integrate_ac_per_segment(d0, unit_charge, kin, 2e-3).vector
-        sizes = []
-
-        def recording_eval_A(cfg, p):
-            sizes.append(len(p))
-            return eval_A(cfg, p)
-
-        monkeypatch.setattr(classical, "eval_A", recording_eval_A)
+        calls = record_eval_A(monkeypatch)
         got = integrate_precession_ac(d0, unit_charge, kin, 2e-3).vector
-        assert got.tolist() == expected.tolist()
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
         steps = sum(len(times) // 2 for i, d in enumerate(np.diff(verts, axis=0))
-                    for _, times in classical._stage_blocks(0.0, float(np.linalg.norm(d)) / kin.speeds[i], 2e-3))
+                    for _, times in stage_blocks(0.0, float(np.linalg.norm(d)) / kin.speeds[i], 2e-3))
         # each segment adds 2k + 1 points for its k steps
-        assert sum(sizes) == 2 * steps + 199
-        assert 1 < len(sizes) < 199
-        assert max(sizes) <= 3 * RATE_BLOCK_STEPS
+        assert sum(len(p) for p in calls) == 2 * steps + 199
+        assert 1 < len(calls) < 199
+        assert max(len(p) for p in calls) <= 3 * RATE_BLOCK_STEPS
+
+
+class TestStageGrid:
+    """The points eval_A receives are the reference stage_blocks points."""
+
+    @pytest.mark.parametrize(
+        "verts, speeds, dt",
+        [
+            # 199 short segments: blocks end at segment ends
+            (PlanarPath.circle((0.0, 0.0), 1.5, 199).vertices, 0.3 + np.arange(199) % 7 * 0.4, 2e-3),
+            # segment 1 takes 2.5 blocks of steps, so two block boundaries lie
+            # inside it; segment 3 has zero length
+            (np.array([[2.0, 0.0], [2.0, 0.3], [1.5, 1.5], [-2.0, 1.0], [-2.0, 1.0], [-1.8, 0.2]]), [1.0, 0.7, 2.0, 1.3, 0.4], 6e-4),
+            # one segment of exactly one block, then one of a block and one step
+            (np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]), [2.0 / (RATE_BLOCK_STEPS * 1e-3), 2.0 / ((RATE_BLOCK_STEPS + 1) * 1e-3)], 1e-3),
+        ],
+        ids=["short-segments", "cut-segment", "exact-block"],
+    )
+    def test_points_equal_reference_stage_blocks(self, unit_charge, monkeypatch, verts, speeds, dt):
+        kin = KinematicPath(PlanarPath(verts), speeds)
+        calls = record_eval_A(monkeypatch)
+        integrate_precession_ac(ClassicalDipole(theta=0.8), unit_charge, kin, dt)
+        ref = ac_stage_points(kin, dt)
+        got = np.concatenate(calls)
+        assert got.tobytes() == np.concatenate([p for _, p in ref]).tobytes()
+        # a segment of n steps has 2n + 1 points, one more per block boundary inside it
+        for i, d in enumerate(np.diff(np.asarray(verts, dtype=float), axis=0)):
+            tau = float(np.linalg.norm(d)) / kin.speeds[i]
+            n = max(1, math.ceil(tau / dt - 1e-12)) if tau > 0.0 else 0
+            pieces = [p for segment, p in ref if segment == i]
+            assert sum(len(p) for p in pieces) == (2 * n + len(pieces) if n else 0)
+        assert max(len(p) for p in calls) <= 3 * RATE_BLOCK_STEPS
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 3.0)), min_size=1, max_size=6),
+        st.floats(1e-3, 0.5),
+    )
+    def test_times_equal_reference_stage_blocks(self, windows, dt):
+        t0 = np.array([a for a, _ in windows])
+        t1 = t0 + np.array([span for _, span in windows])
+        got = [(window, times) for window, times, _, _ in classical._stage_grid(t0, t1, dt)]
+        ref = [times for w in range(len(t0)) for _, times in stage_blocks(t0[w], t1[w], dt)]
+        assert np.concatenate([t for _, t in got] or [np.empty(0)]).tobytes() == np.concatenate(ref or [np.empty(0)]).tobytes()
+        for window, _ in got:
+            assert (np.diff(window) >= 0).all()
+
+
+def loop_outcome(m, mu0, rates, h):
+    """The plain-float loop's final moment, or the step it fails at and its text."""
+    for k in range(len(rates) // 2):
+        try:
+            m = rk4_precession(m, mu0, rates[2 * k : 2 * k + 3], h)
+        except StepTooLarge as exc:
+            return k, str(exc)
+    return m
+
+
+def scan_window(m, mu0, rates, h):
+    rates = np.asarray(rates, dtype=float)
+    step = np.arange(0, len(rates) - 1, 2)
+    return classical._rk4_scan(m, mu0, rates[step], rates[step + 1], rates[step + 2], np.full(len(step), h))
+
+
+@st.composite
+def scan_windows(draw):
+    """A moment (theta 0, pi/2, pi or any; mu_z or u exactly 0 at times), a
+    step size and the 2k + 1 stage rates of up to 3,000 steps, of both signs,
+    with an occasional spike too large for one step."""
+    mu = draw(st.floats(0.5, 2.0))
+    azimuth = draw(st.floats(-3.0, 3.0))
+    theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi, "mu_z = 0", "u = 0", None]))
+    if theta == "mu_z = 0":
+        m = (mu * math.cos(azimuth), mu * math.sin(azimuth), 0.0)
+    elif theta == "u = 0":
+        m = (0.0, 0.0, draw(st.sampled_from([mu, -mu])))
+    else:
+        m = classical._moment(mu, draw(st.floats(0.0, math.pi)) if theta is None else theta, azimuth)
+    k = draw(st.integers(1, 3000))
+    h = draw(st.floats(1e-4, 0.1))
+    angle = draw(st.floats(-0.05, 0.05))  # rate * h at the start of the window
+    wobble = draw(st.floats(0.0, 0.05))
+    phase = draw(st.floats(0.0, 6.0))
+    t = np.linspace(0.0, 1.0, 2 * k + 1)
+    rates = (angle + wobble * np.sin(2.0 * math.pi * (3.0 * t + phase / 6.0))) / h
+    if draw(st.booleans()):
+        spike = draw(st.integers(0, 2 * k))
+        rates[spike] = draw(st.floats(-4.0, 4.0)) / h
+    m_norm = math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
+    return m, m_norm, rates.tolist(), h
+
+
+class TestRk4Scan:
+    """_rk4_scan against the plain-float loop kept in tests/reference.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scan_windows())
+    def test_equals_plain_float_loop(self, case):
+        m, mu0, rates, h = case
+        ref = loop_outcome(m, mu0, rates, h)
+        if isinstance(ref[1], str):
+            k, text = ref
+            with pytest.raises(StepTooLarge) as excinfo:
+                scan_window(m, mu0, rates, h)
+            assert str(excinfo.value) == text
+            # the steps before the loop's failing step pass
+            if k:
+                scan_window(m, mu0, rates[: 2 * k + 1], h)
+        else:
+            np.testing.assert_allclose(scan_window(m, mu0, rates, h), ref, rtol=0.0, atol=1e-13 * mu0)
+
+    def test_aligned_and_equatorial_moments_stay_exact(self):
+        rates = np.linspace(-3.0, 5.0, 201)
+        assert scan_window((0.0, 0.0, 1.5), 1.5, rates, 1e-3) == (0.0, 0.0, 1.5)
+        x, y, z = scan_window((1.5, 0.0, 0.0), 1.5, rates, 1e-3)
+        assert z == 0.0
+        assert math.hypot(x, y) == pytest.approx(1.5, rel=1e-15)
+
+    def test_first_step_measures_drift_from_the_entering_moment(self):
+        # the loop renormalizes whatever moment enters: a first step that
+        # lands 2e-3 off mu0 fails, one that lands 5e-4 off passes
+        rates = [0.1, 0.1, 0.1]
+        m = (0.6 * 1.002, 0.0, 0.8 * 1.002)
+        with pytest.raises(StepTooLarge) as excinfo:
+            scan_window(m, 1.0, rates, 0.01)
+        assert loop_outcome(m, 1.0, rates, 0.01) == (0, str(excinfo.value))
+        m = (0.6 * 0.9995, 0.0, 0.8 * 0.9995)
+        ref = loop_outcome(m, 1.0, rates, 0.01)
+        np.testing.assert_allclose(scan_window(m, 1.0, rates, 0.01), ref, rtol=0.0, atol=1e-13)
+
+    def test_non_finite_rate_raises_for_an_aligned_moment(self):
+        rates = [1.0, math.inf, 1.0]
+        with pytest.raises(StepTooLarge, match="drifted by nan"):
+            scan_window((0.0, 0.0, 1.0), 1.0, rates, 0.1)
+        with pytest.raises(StepTooLarge, match="drifted by nan"):
+            rk4_precession((0.0, 0.0, 1.0), 1.0, rates, 0.1)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_speed_rejected(self, bad):
+        path = PlanarPath(PlanarPath.circle((0.0, 0.0), 1.0, 8).vertices[:3])
+        with pytest.raises(ValueError, match="finite"):
+            KinematicPath(path, [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            KinematicPath.uniform(path, bad)
+
+    def test_nan_time_rejected(self):
+        pulse = RectangularPulse(1.0, 0.0, 1.0)
+        d0 = ClassicalDipole(theta=1.0)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            integrate_precession_sab(d0, pulse, math.nan, 1e-2, GAMMA_ONE)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            precess_sab_closed_form(d0, pulse, math.nan, GAMMA_ONE)
+
+    def test_too_many_steps_overflow(self, unit_charge):
+        # the segment's duration 2 / 1e-308 overflows to inf
+        kin = KinematicPath.uniform(PlanarPath.line([2.0, 0.0], [2.0, 2.0]), 1e-308)
+        with pytest.raises(OverflowError):
+            integrate_precession_ac(ClassicalDipole(theta=1.0), unit_charge, kin, 1e-3)
+        with pytest.raises(OverflowError):
+            integrate_precession_sab(ClassicalDipole(theta=1.0), RectangularPulse(1.0, 0.0, 1.0), 1.0, 1e-300, GAMMA_ONE)
+
+    def test_nan_step_rejected(self, unit_charge):
+        d0 = ClassicalDipole(theta=1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_precession_sab(d0, RectangularPulse(1.0, 0.0, 1.0), 1.0, math.nan, GAMMA_ONE)
+        kin = KinematicPath.uniform(PlanarPath.line([2.0, 0.0], [0.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_precession_ac(d0, unit_charge, kin, math.nan)
 
 
 class TestAcForce:

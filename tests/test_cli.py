@@ -697,6 +697,26 @@ class TestErrors:
             assert main(["--config", str(cfg)]) == 3
         assert "precession angle -inf overflows" in capsys.readouterr().err
 
+    def test_path_length_overflow_raises_no_warning(self, tmp_path, capsys):
+        # the second segment is 1e308 long and its squared length overflows;
+        # the series stops at that row without a RuntimeWarning
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "mode": "ac-classical",
+                "field": {"charges": [], "units": NATURAL_UNITS},
+                "path": {"vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1e308]]},
+                "theta": 0.5,
+                "out": str(tmp_path / "x.csv"),
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg)]) == 3
+        assert "path length inf overflows" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_singular_segment_after_an_overflowing_row(self, tmp_path, capsys):
         # segment 1 samples the charge: all segments are evaluated before the
         # first row is checked, so the singular segment is reported

@@ -133,6 +133,10 @@ class TestPrecessionAngles:
         units = UnitSystem(mu=1.0, hbar=1.0)
         assert sab_precession_angle(RectangularPulse(1.0, 0.0, 1.0), 1.0, units) == -2.0
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            sab_precession_angle(RectangularPulse(1.0, 0.0, 1.0), math.nan, UnitSystem())
+
     def test_smooth_bump_uses_quadrature(self):
         units = UnitSystem(mu=0.5, hbar=1.0)
         pulse = SmoothBumpPulse(1.0, 0.0, 1.0, 0.1)
