@@ -232,10 +232,10 @@ def integrate_precession_sab(
     Steps are aligned to the pulse knots so the field is smooth within every
     step; intervals outside the pulse support are skipped (B vanishes there).
     One stage grid covers all the remaining intervals, in blocks of at most
-    RATE_BLOCK_STEPS (1024) steps: the field is read once per stage time
-    (2n + 1 times for an interval's n steps), and the recurrence then runs
-    as one scan per block (_rk4_scan). Agrees with precess_sab_closed_form
-    to the integrator accuracy. Fixed stepping keeps reruns reproducible;
+    RATE_BLOCK_STEPS (1024) steps: one array field_at call per block reads
+    the field at every stage time (2n + 1 times for an interval's n steps),
+    and the recurrence then runs as one scan per block (_rk4_scan). Agrees
+    with precess_sab_closed_form to the integrator accuracy. Fixed stepping keeps reruns reproducible;
     choose dt so a step subtends well under 0.01 rad
     (|Gamma| max|B| dt < 0.01).
     """
@@ -249,7 +249,9 @@ def integrate_precession_sab(
     Gamma = units.Gamma
     m = _moment(dipole.mu, dipole.theta, dipole.azimuth)
     for _, times, step, h in _stage_grid(a[live], b[live], dt):
-        rates = np.array([Gamma * pulse.field_at(s) for s in times.tolist()])
+        # a rate past the float range is inf; _rk4_scan reports the failed step
+        with np.errstate(over="ignore"):
+            rates = Gamma * pulse.field_at(times)
         m = _rk4_scan(m, dipole.mu, rates[step], rates[step + 1], rates[step + 2], h)
     return _dipole_from(m, dipole.mu)
 

@@ -154,5 +154,6 @@ def verify_gauge_cancellation(
         raise SingularPoint(exc.point, segment=exc.segment // 2) from None
     grad = angles.reshape(-1, 2) / (2.0 * fd_step)
     resid = 0.5 * units.hbar * grad + units.mu * eval_A(cfg, mids)
-    # the 1-D norm of each row; norm(axis=1) can round differently in the last bit
-    return float(np.max([np.linalg.norm(r) for r in resid]))
+    # the 1-D norm of each row (the same dot product); norm(axis=1) can round
+    # differently in the last bit
+    return float(np.sqrt((resid[:, None, :] @ resid[:, :, None]).ravel()).max())

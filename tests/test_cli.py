@@ -5,13 +5,18 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinphase
 from spinphase import (
     ClassicalDipole,
     FieldConfig,
@@ -406,6 +411,21 @@ class TestPrecessionModes:
             assert main(["--config", str(cfg)]) == 0
         _, rows = read_csv(out)
         assert [(row[0], row[1], row[3]) for row in rows] == [("1e+308", "false", "false"), ("-1e+308", "false", "false")]
+
+    @pytest.mark.parametrize("mode", ["sab-classical", "sab-quantum"])
+    def test_smooth_series_with_subnormal_ramp(self, tmp_path, mode):
+        # every ramp angle is pi times a ratio to ramp, so a subnormal ramp
+        # neither overflows nor raises
+        field = self.field_payload()
+        field["pulse"] = {"shape": "smooth-bump", "B0": 1.0, "t_on": 0.0, "t_off": 1.0, "ramp": 5e-324}
+        out = tmp_path / "s.json"
+        config = {"mode": mode, "field": field, "theta": 0.5, "n_t": 11, "format": "json", "out": str(out)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(write_config(tmp_path, "cfg.json", config))]) == 0
+        payload = json.loads(out.read_text())
+        assert_finite_output(out, "json", "")
+        assert [row[1] for row in payload["rows"]] == [-2.0 * t for t in np.linspace(0.0, 1.0, 11).tolist()]
 
 
 class TestSeriesOracles:
@@ -935,3 +955,13 @@ def test_any_json_config_exits_0_2_or_3_with_finite_cells(tmp_path_factory, conf
     assert status in (0, 2, 3)
     if status == 0:
         assert_finite_output(out, config.get("format", "csv"), stdout.getvalue())
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the package and its CLI pulls in
+    src = str(Path(spinphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, spinphase, spinphase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

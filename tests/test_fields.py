@@ -368,6 +368,114 @@ class TestPulseIntegral:
             pulse_integral_B(RectangularPulse(1.0, 0.0, 1.0), 2.0, 1.0)
 
 
+@st.composite
+def smooth_windows(draw):
+    """A smooth pulse and a window inside one ramp, across knots, or over
+    the whole support from before t_on to after t_off."""
+    t_on = draw(st.floats(-3.0, 3.0))
+    duration = draw(st.floats(0.1, 5.0))
+    B0 = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    pulse = SmoothBumpPulse(B0, t_on, t_on + duration, draw(st.floats(1e-3, 0.49)) * duration)
+    kind = draw(st.sampled_from(["one ramp", "across knots", "whole support"]))
+    knots = pulse.knots()
+    if kind == "one ramp":
+        lo, hi = draw(st.sampled_from([knots[:2], knots[2:]]))
+        u, v = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+        return pulse, lo + u * (hi - lo), lo + v * (hi - lo)
+    if kind == "across knots":
+        t0, t1 = sorted((draw(st.floats(t_on - 1.0, knots[3] + 1.0)), draw(st.floats(t_on - 1.0, knots[3] + 1.0))))
+        return pulse, t0, t1
+    return pulse, t_on - draw(st.floats(0.0, 1.0)), knots[3] + draw(st.floats(0.0, 1.0))
+
+
+class TestSmoothPulseClosedForm:
+    """The exact smooth-bump integral against Simpson, series and identities."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(smooth_windows())
+    def test_matches_simpson_oracle(self, window):
+        pulse, t0, t1 = window
+        lo, hi = max(t0, pulse.t_on), min(t1, pulse.t_off)
+        # the oracle integrates each smooth piece between the ramp knots
+        points = sorted({lo, hi, *(k for k in pulse.knots() if lo < k < hi)}) if lo < hi else []
+        tol = 1e-14 * abs(pulse.B0) * pulse.ramp
+        oracle = sum(adaptive_simpson(pulse.field_at, a, b, tol) for a, b in zip(points[:-1], points[1:]))
+        got = pulse_integral_B(pulse, t0, t1)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15 * abs(pulse.B0) * pulse.ramp)
+
+    @settings(derandomize=True, database=None)
+    @given(st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    def test_additivity_over_adjacent_windows(self, a, b, c):
+        t0, t1, t2 = sorted((a, b, c))
+        pulse = SmoothBumpPulse(1.5, 0.5, 2.5, 0.7)
+        whole = pulse_integral_B(pulse, t0, t2)
+        split = pulse_integral_B(pulse, t0, t1) + pulse_integral_B(pulse, t1, t2)
+        assert whole == pytest.approx(split, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "B0, t_on, t_off, ramp",
+        [
+            (1.0, 0.0, 1.0, 0.1),
+            (-2.5, 0.3, 4.1, 0.5 * (4.1 - 0.3)),
+            (3.0, -1.0, 2.0, 1e-9),
+            (0.7, 10.0, 11.0, 0.25),
+        ],
+    )
+    def test_full_support(self, B0, t_on, t_off, ramp):
+        pulse = SmoothBumpPulse(B0, t_on, t_off, ramp)
+        expected = B0 * (t_off - t_on - ramp)
+        assert pulse_integral_B(pulse, t_on - 1.0, t_off + 1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert pulse_integral_B(pulse, t_on, t_off) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.2, 5.0), st.floats(0.01, 0.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_ramps_mirror_each_other(self, duration, share, u, v):
+        # t_on = 0, so t_off - f is exact for each falling-ramp time f, and the
+        # rising window below is the exact mirror image of the falling one; a
+        # window that ends on a knot can still split off a plateau piece of
+        # one ulp on one side only
+        pulse = SmoothBumpPulse(1.3, 0.0, duration, share * duration)
+        f0 = pulse.t_off - max(u, v) * pulse.ramp
+        f1 = pulse.t_off - min(u, v) * pulse.ramp
+        falling = pulse_integral_B(pulse, f0, f1)
+        rising = pulse_integral_B(pulse, pulse.t_off - f1, pulse.t_off - f0)
+        assert rising == pytest.approx(falling, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("share", [1e-3, 1e-6])
+    def test_short_window_after_t_on(self, share):
+        # integral_0^x 0.5 B0 (1 - cos(pi u / ramp)) du
+        #   = B0 pi^2 x^3 / (12 ramp^2) (1 - pi^2 x^2 / (20 ramp^2) + O(x^4));
+        # the antiderivative 0.5 B0 (x - (ramp / pi) sin(pi x / ramp))
+        # loses about 6 ramp^2 / (pi^2 x^2) ulp here
+        pulse = SmoothBumpPulse(1.7, 0.3, 2.3, 0.4)
+        t1 = pulse.t_on + share * pulse.ramp
+        x = t1 - pulse.t_on
+        leading = pulse.B0 * math.pi**2 * x**3 / (12.0 * pulse.ramp**2)
+        series = leading * (1.0 - math.pi**2 * x**2 / (20.0 * pulse.ramp**2))
+        assert pulse_integral_B(pulse, pulse.t_on, t1) == pytest.approx(series, rel=1e-12, abs=0.0)
+        assert pulse_integral_B(pulse, 0.0, t1) == pytest.approx(leading, rel=2.0 * share**2, abs=0.0)
+
+    @pytest.mark.parametrize("ramp", [5e-324, 1e-310])
+    @pytest.mark.parametrize("B0", [1e308, -1e308])
+    def test_subnormal_ramp_and_huge_field(self, ramp, B0):
+        pulse = SmoothBumpPulse(B0, 0.0, 1.0, ramp)
+        assert pulse_integral_B(pulse, -1.0, 2.0) == B0
+        assert pulse_integral_B(pulse, 0.0, ramp) == pytest.approx(0.5 * B0 * ramp, rel=1e-15, abs=0.0)
+        assert pulse_integral_B(pulse, 0.5 * ramp, 0.5) == pytest.approx(0.5 * B0, rel=1e-15, abs=0.0)
+        times = np.array([-1.0, 0.0, 0.5 * ramp, ramp, 0.5, 1.0 - ramp, 1.0, 2.0])
+        assert np.isfinite(pulse.field_at(times)).all() and pulse.field_at(0.5) == B0
+
+    def test_field_at_takes_floats_and_arrays(self):
+        pulse = SmoothBumpPulse(2.0, 1.0, 3.0, 0.5)
+        times = np.array([0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 2.75, 3.0, 3.5])
+        expected = [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0]
+        np.testing.assert_allclose(pulse.field_at(times), expected, rtol=1e-15, atol=1e-15)
+        assert [pulse.field_at(t) for t in times.tolist()] == pulse.field_at(times).tolist()
+        rect = RectangularPulse(2.0, 1.0, 3.0)
+        assert rect.field_at(times).tolist() == [0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0]
+        assert rect.field_at(3.0) == 2.0 and rect.field_at(3.5) == 0.0
+
+
 class TestValidation:
     def test_units_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ class TestPrecessionAngles:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             sab_precession_angle(RectangularPulse(1.0, 0.0, 1.0), math.nan, UnitSystem())
 
-    def test_smooth_bump_uses_quadrature(self):
+    def test_smooth_bump_uses_the_pulse_integral(self):
         units = UnitSystem(mu=0.5, hbar=1.0)
         pulse = SmoothBumpPulse(1.0, 0.0, 1.0, 0.1)
         expected = -2.0 * 0.5 * pulse_integral_B(pulse, 0.0, 1.0)
