@@ -20,7 +20,6 @@ from .classical import (
 )
 from .dispersion import (
     GaussianPacket,
-    NondispersivityReport,
     RegionInterval,
     contained_during_pulse,
     nondispersivity_sweep,
@@ -45,7 +44,6 @@ from .fields import (
     RectangularPulse,
     SmoothBumpPulse,
     UnitSystem,
-    divergence_E,
     eval_A,
     eval_E,
     line_integral_A,
@@ -70,7 +68,6 @@ from .quantum import (
     Spinor,
     ac_precession_angle,
     bloch_of,
-    evolve_spin,
     rotate_z,
     sab_precession_angle,
     spinor_from_angles,
@@ -91,7 +88,6 @@ __all__ = [
     "InversionResult",
     "KinematicPath",
     "LineCharge",
-    "NondispersivityReport",
     "NotNormalized",
     "PlanarPath",
     "PulseProfile",
@@ -113,10 +109,8 @@ __all__ = [
     "contained_during_pulse",
     "decompose_phase",
     "detector_probabilities",
-    "divergence_E",
     "eval_A",
     "eval_E",
-    "evolve_spin",
     "integrate_precession_ac",
     "integrate_precession_sab",
     "invert_observables",

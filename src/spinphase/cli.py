@@ -31,7 +31,15 @@ import numpy as np
 from .classical import _moment
 from .dispersion import GaussianPacket, RegionInterval, nondispersivity_sweep
 from .errors import ConfigError, InsufficientSamples, SpinPhaseError, UndefinedPhase
-from .fields import ConfigObject, FieldConfig, PlanarPath, UnitSystem, _segment_integrals, pulse_integral_B
+from .fields import (
+    ConfigObject,
+    FieldConfig,
+    PlanarPath,
+    UnitSystem,
+    _row_norms,
+    _segment_integrals,
+    pulse_integral_B,
+)
 from .interferometry import (
     CSV_COLUMNS,
     EPS_VIS,
@@ -251,8 +259,7 @@ def _ac_series(sc: Scenario, factor: float):
     verts = path.vertices
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         segments = _segment_integrals(sc.field, verts[:-1], verts[1:]).tolist()
-        # the 1-D norm of each segment; norm(axis=1) can round differently in the last bit
-        lengths = [float(np.linalg.norm(d)) for d in verts[1:] - verts[:-1]]
+        lengths = _row_norms(verts[1:] - verts[:-1]).tolist()
     points = verts.tolist()
     gamma = 0.0
     arclength = 0.0
@@ -310,9 +317,10 @@ def _run_nondispersive(sc: Scenario):
         raise ConfigError("config key 'field.pulse.t_on' must be nonnegative in mode 'nondispersive'")
     if not sc.k_sigma > 0.0:
         raise ConfigError("config key 'k_sigma' must be positive")
-    report = nondispersivity_sweep(packet, velocities, region, fc.pulse, fc.units, sc.k_sigma)
-    rows = [[row.velocity, row.contained, row.gamma, row.valid] for row in report.rows]
-    return list(report.columns), rows, None
+    gamma, contained = nondispersivity_sweep(packet, velocities, region, fc.pulse, fc.units, sc.k_sigma)
+    # a row is valid (inside the nondispersive regime) exactly when its packet is contained
+    rows = [[v, inside, gamma, inside] for v, inside in zip(velocities, contained)]
+    return ["velocity", "contained", "gamma", "valid"], rows, None
 
 
 _RUNNERS = {

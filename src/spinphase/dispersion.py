@@ -6,7 +6,8 @@ sigma(t) = sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2). Velocity independence
 of the pulsed-field precession needs only that the packet stays well inside
 the field region while the pulse is on; the precession angle itself is
 computed from the pulse alone, so its value carries no velocity dependence at
-all. The sweep below makes that structural: one gamma, shared by every row.
+all. The sweep below makes that structural: it returns one gamma for every
+velocity.
 
 Containment is exact at the pulse endpoints: the center is linear in t and the
 width convex, so the upper edge center + k sigma(t) is convex and the lower
@@ -110,32 +111,6 @@ def contained_during_pulse(
     return bool(_contained(p, [p.v], region, pulse, k_sigma)[0])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    velocity: float
-    contained: bool
-    gamma: float
-    valid: bool
-
-
-@dataclass(frozen=True)
-class NondispersivityReport:
-    """Velocity sweep, one row per velocity in input order.
-
-    gamma is computed once from the pulse and shared by every row, so the
-    gamma column is exactly constant; rows whose packet leaves the region
-    during the pulse are flagged invalid (outside the nondispersive regime).
-    CSV columns: velocity, contained, gamma, valid.
-    """
-
-    rows: tuple[SweepRow, ...]
-
-    columns = ("velocity", "contained", "gamma", "valid")
-
-    def gamma_values(self) -> list[float]:
-        return [row.gamma for row in self.rows]
-
-
 def nondispersivity_sweep(
     packet: GaussianPacket,
     velocities: Sequence[float],
@@ -143,11 +118,11 @@ def nondispersivity_sweep(
     pulse: PulseProfile,
     units: UnitSystem,
     k_sigma: float = 5.0,
-) -> NondispersivityReport:
-    """Containment check and precession angle for each velocity, the
-    containment of all velocities in one array pass."""
+) -> tuple[float, list[bool]]:
+    """(gamma, contained): the precession angle, one float for every
+    velocity, and whether the packet moving at each velocity stays contained
+    during the pulse, as bools in input order (all velocities in one array
+    pass). A velocity whose packet leaves the region is outside the
+    nondispersive regime."""
     gamma = sab_precession_angle(pulse, max(pulse.t_off, 0.0), units)
-    contained = _contained(packet, velocities, region, pulse, k_sigma).tolist()
-    return NondispersivityReport(
-        tuple(SweepRow(float(v), inside, gamma, inside) for v, inside in zip(velocities, contained))
-    )
+    return gamma, _contained(packet, velocities, region, pulse, k_sigma).tolist()

@@ -16,7 +16,6 @@ the value's key path, e.g. ``field.charges[0].x``.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -159,16 +158,6 @@ class UnitSystem:
         if not math.isfinite(self.c * self.c):
             raise ValueError(f"c must have a finite square, got {self.c}")
 
-    def to_dict(self) -> dict:
-        return {
-            "hbar": self.hbar,
-            "c": self.c,
-            "eps0": self.eps0,
-            "mu": self.mu,
-            "Gamma": self.Gamma,
-            "m": self.m,
-        }
-
     @classmethod
     def from_dict(cls, data: dict, path: str = "units") -> "UnitSystem":
         obj = ConfigObject(data, path)
@@ -201,9 +190,6 @@ class RectangularPulse:
     def integral(self, t0: float, t1: float) -> float:
         overlap = min(t1, self.t_off) - max(t0, self.t_on)
         return self.B0 * overlap if overlap > 0.0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {"shape": "rectangular", "B0": self.B0, "t_on": self.t_on, "t_off": self.t_off}
 
 
 @dataclass(frozen=True)
@@ -287,19 +273,12 @@ class SmoothBumpPulse:
             else:
                 total += self.B0 * (b - a)
                 continue
-            # t_on + ramp - t_on can round past ramp, so the piece is clamped to the ramp
+            # the knots are rounded, so a piece can reach past its ramp by an ulp;
+            # that excess lies where the ramp has reached B0, and counts as plateau
             x = min(x, self.ramp)
-            total += self._ramp_integral(x, min(b - a, self.ramp - x))
+            w = min(b - a, self.ramp - x)
+            total += self._ramp_integral(x, w) + self.B0 * ((b - a) - w)
         return total
-
-    def to_dict(self) -> dict:
-        return {
-            "shape": "smooth-bump",
-            "B0": self.B0,
-            "t_on": self.t_on,
-            "t_off": self.t_off,
-            "ramp": self.ramp,
-        }
 
 
 PulseProfile = Union[RectangularPulse, SmoothBumpPulse]
@@ -345,6 +324,12 @@ class LineCharge:
         return np.array([self.x, self.y])
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (n, 2) array, bit for bit: the same
+    dot product; norm(axis=1) can round differently in the last bit."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+
+
 @dataclass(frozen=True, eq=False)
 class PlanarPath:
     """Polyline in the x-y plane.
@@ -369,7 +354,7 @@ class PlanarPath:
         return len(self.vertices) - 1
 
     def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
+        return _row_norms(np.diff(self.vertices, axis=0))
 
     def reversed(self) -> "PlanarPath":
         return PlanarPath(self.vertices[::-1].copy(), closed=self.closed)
@@ -418,15 +403,6 @@ class FieldConfig:
     pulse: PulseProfile | None = None
     units: UnitSystem = field(default_factory=UnitSystem)
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "charges": [{"x": c.x, "y": c.y, "lambda": c.lam} for c in self.charges],
-            "units": self.units.to_dict(),
-        }
-        if self.pulse is not None:
-            out["pulse"] = self.pulse.to_dict()
-        return out
-
     @classmethod
     def from_dict(cls, data: dict, path: str = "field") -> "FieldConfig":
         obj = ConfigObject(data, path)
@@ -440,13 +416,6 @@ class FieldConfig:
             pulse=None if pulse is None else pulse_from_dict(pulse, obj.key("pulse")),
             units=UnitSystem() if units is None else UnitSystem.from_dict(units, obj.key("units")),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FieldConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def eval_E(cfg: FieldConfig, p) -> np.ndarray:
@@ -488,21 +457,6 @@ def eval_A(cfg: FieldConfig, p) -> np.ndarray:
     E = eval_E(cfg, p)
     A = np.stack([-E[..., 1], E[..., 0]], axis=-1)
     return A / cfg.units.c**2
-
-
-def divergence_E(cfg: FieldConfig, p, h: float = 1e-4) -> float:
-    """Central finite-difference estimate of div E at p (field sanity check).
-
-    Away from the charges the planar field is divergence free; the estimate
-    blows up as p approaches a charge. The step h must keep the four stencil
-    points off the charge positions.
-    """
-    p = np.asarray(p, dtype=float)
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    ddx = eval_E(cfg, p + ex)[0] - eval_E(cfg, p - ex)[0]
-    ddy = eval_E(cfg, p + ey)[1] - eval_E(cfg, p - ey)[1]
-    return float((ddx + ddy) / (2.0 * h))
 
 
 def _check_segments(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> None:
@@ -564,14 +518,12 @@ def _segment_integrals(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -
     return out / cfg.units.c**2
 
 
-def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> float:
+def line_integral_A(cfg: FieldConfig, path: PlanarPath) -> float:
     """Exact line integral of A along the polyline.
 
     Each segment contributes lam / (2 pi eps0 c^2) times the angle it
     subtends at each charge, so a closed loop gives lambda_enc / (eps0 c^2)
     for any loop shape, and reversing the path negates the result.
-    ``n_sub`` is accepted for compatibility and has no effect; it must still
-    be at least 1.
 
     Raises
     ------
@@ -579,7 +531,5 @@ def line_integral_A(cfg: FieldConfig, path: PlanarPath, n_sub: int = 32) -> floa
         If a path segment passes within SINGULAR_DISTANCE of a charge; the
         error carries the lowest offending segment index.
     """
-    if n_sub < 1:
-        raise ValueError("n_sub must be at least 1")
     verts = path.vertices
     return float(_segment_integrals(cfg, verts[:-1], verts[1:]).sum())

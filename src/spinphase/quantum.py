@@ -33,6 +33,7 @@ from .fields import (
     PlanarPath,
     PulseProfile,
     UnitSystem,
+    _row_norms,
     _segment_integrals,
     eval_A,
     line_integral_A,
@@ -66,16 +67,6 @@ def rotate_z(s: Spinor, gamma: float) -> Spinor:
     return Spinor(s.up * half, s.down * half.conjugate())
 
 
-def evolve_spin(s: Spinor, gamma: float) -> Spinor:
-    """Spin factor of the evolved state: rotate_z by the precession angle.
-
-    The spatial factor is a spin-independent free wave packet and is modeled
-    separately (see the dispersion module); only the spin rotation matters for
-    the interference observables.
-    """
-    return rotate_z(s, gamma)
-
-
 def _bloch(s: Spinor) -> tuple[float, float, float]:
     """bloch_of on floats."""
     nrm = s.norm()
@@ -100,15 +91,11 @@ def sab_precession_angle(pulse: PulseProfile, t: float, units: UnitSystem) -> fl
     return -2.0 * units.mu / units.hbar * pulse_integral_B(pulse, 0.0, t)
 
 
-def ac_precession_angle(
-    cfg: FieldConfig, path: PlanarPath, units: UnitSystem | None = None, n_sub: int = 32
-) -> float:
-    """Spin precession angle -(2 mu / hbar) integral A . dr along the path.
-
-    The integral is exact (line_integral_A); ``n_sub`` has no effect.
-    """
+def ac_precession_angle(cfg: FieldConfig, path: PlanarPath, units: UnitSystem | None = None) -> float:
+    """Spin precession angle -(2 mu / hbar) integral A . dr along the path,
+    the integral taken exactly by line_integral_A."""
     units = units or cfg.units
-    return -2.0 * units.mu / units.hbar * line_integral_A(cfg, path, n_sub)
+    return -2.0 * units.mu / units.hbar * line_integral_A(cfg, path)
 
 
 def verify_gauge_cancellation(
@@ -116,7 +103,6 @@ def verify_gauge_cancellation(
     path: PlanarPath,
     units: UnitSystem | None = None,
     fd_step: float = 1e-5,
-    n_sub: int = 32,
 ) -> float:
     """Force-free certificate: max residual of (hbar/2) grad(gamma) + mu A.
 
@@ -127,7 +113,6 @@ def verify_gauge_cancellation(
     rather than assuming the analytic relation. The residual shrinks
     quadratically with fd_step. The 2 n_segments stencil sub-paths are
     integrated in one array pass and the midpoints take one eval_A call.
-    ``n_sub`` has no effect; it must still be at least 1.
 
     Raises
     ------
@@ -135,12 +120,10 @@ def verify_gauge_cancellation(
         If a stencil sub-path passes a charge (the error carries the path
         segment whose midpoint it belongs to) or a midpoint lies on one.
     ValueError
-        If fd_step is not positive or n_sub is below 1.
+        If fd_step is not positive.
     """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
-    if n_sub < 1:
-        raise ValueError("n_sub must be at least 1")
     units = units or cfg.units
     verts = path.vertices
     mids = 0.5 * (verts[:-1] + verts[1:])
@@ -154,6 +137,4 @@ def verify_gauge_cancellation(
         raise SingularPoint(exc.point, segment=exc.segment // 2) from None
     grad = angles.reshape(-1, 2) / (2.0 * fd_step)
     resid = 0.5 * units.hbar * grad + units.mu * eval_A(cfg, mids)
-    # the 1-D norm of each row (the same dot product); norm(axis=1) can round
-    # differently in the last bit
-    return float(np.sqrt((resid[:, None, :] @ resid[:, :, None]).ravel()).max())
+    return float(_row_norms(resid).max())

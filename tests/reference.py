@@ -1,11 +1,14 @@
 """Numerical stand-ins kept as independent test oracles.
 
-The library integrates A exactly, differentiates E exactly, and runs the RK4
-recurrence as one scan over a whole-path stage grid. The forms it replaced
-live here, so tests can check the library against them: the composite
-midpoint rule for the line integral of A, with its sample-based singular
-check, the per-window RK4 stage blocks, the plain-float RK4 loop, the
-segment-by-segment AC integrator, and the finite-difference force.
+The library integrates A and B(t) exactly, differentiates E exactly, checks
+containment at the pulse endpoints, takes the geodesically closed solid angle
+in closed form, and runs the RK4 recurrence as one scan over a whole-path
+stage grid. The forms it replaced live here, so tests can check the library
+against them: the composite midpoint rule for the line integral of A, with
+its sample-based singular check, the per-window RK4 stage blocks, the
+plain-float RK4 loop, the segment-by-segment AC integrator, the
+finite-difference force and divergence, adaptive Simpson quadrature, the
+sampled containment scan and the polygon-fan solid angle.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from spinphase.classical import MAX_NORM_DRIFT, RATE_BLOCK_STEPS, ClassicalDipole, KinematicPath, _dipole_from
+from spinphase.dispersion import packet_at
 from spinphase.errors import SingularPoint, StepTooLarge
 from spinphase.fields import SINGULAR_DISTANCE, FieldConfig, LineCharge, eval_A, eval_E
 
@@ -188,3 +192,86 @@ def ac_force_fd(dipole: ClassicalDipole, cfg: FieldConfig, p, v, h: float = 1e-5
     dEdy = (eval_E(cfg, p + [0.0, h]) - eval_E(cfg, p - [0.0, h])) / (2.0 * h)
     g = mu[0] * dEdx + mu[1] * dEdy
     return -np.cross([v[0], v[1], 0.0], [g[0], g[1], 0.0]) / cfg.units.c**2
+
+
+def divergence_E(cfg: FieldConfig, p, h: float = 1e-4) -> float:
+    """Central finite-difference estimate of div E at p (field sanity check).
+
+    Away from the charges the planar field is divergence free; the estimate
+    blows up as p approaches a charge. The step h must keep the four stencil
+    points off the charge positions.
+    """
+    p = np.asarray(p, dtype=float)
+    ex = np.array([h, 0.0])
+    ey = np.array([0.0, h])
+    ddx = eval_E(cfg, p + ex)[0] - eval_E(cfg, p - ex)[0]
+    ddy = eval_E(cfg, p + ey)[1] - eval_E(cfg, p - ey)[1]
+    return float((ddx + ddy) / (2.0 * h))
+
+
+def adaptive_simpson(f, a, b, tol=1e-12, max_depth=40):
+    """Independent quadrature oracle (recursive Simpson with Richardson tail)."""
+
+    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        if depth >= max_depth or abs(left + right - whole) < 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
+            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
+        )
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def sampled_oracle(p, region, pulse, k_sigma=5.0, n_time_samples=256):
+    """Containment checked at n_time_samples times spanning [t_on, t_off],
+    both endpoints included: an independent stand-in for the exact check."""
+    for t in np.linspace(pulse.t_on, pulse.t_off, n_time_samples):
+        center, width = packet_at(p, float(t))
+        if center - k_sigma * width < region.x_min or center + k_sigma * width > region.x_max:
+            return False
+    return True
+
+
+def polygon_solid_angle(verts):
+    """Right-handed signed solid angle of a closed spherical polygon.
+
+    Triangle fan about the mean direction, each triangle by the
+
+        omega = 2 atan2(det[c, v1, v2], 1 + c.v1 + v1.v2 + v2.c)
+
+    formula; positive for counterclockwise traversal seen from outside.
+    """
+    center = verts.mean(axis=0)
+    c = center / np.linalg.norm(center)
+    v1 = verts
+    v2 = np.roll(verts, -1, axis=0)
+    triple = np.einsum("ij,ij->i", np.cross(np.broadcast_to(c, v1.shape), v1), v2)
+    denom = 1.0 + v1 @ c + np.einsum("ij,ij->i", v1, v2) + v2 @ c
+    return float(np.sum(2.0 * np.arctan2(triple, denom)))
+
+
+def fan_oracle(theta, delta, n_steps):
+    """Signed solid angle from the discretized arc and geodesic closure.
+
+    The arc and the shortest great-circle arc back to its start are each
+    sampled with n_steps points and summed by polygon_solid_angle; the
+    error falls as n_steps^-2 and stays below (pi / n_steps)^2.
+    """
+    st_, ct_ = math.sin(theta), math.cos(theta)
+    phis = np.linspace(0.0, delta, n_steps)
+    arc = np.stack([st_ * np.cos(phis), st_ * np.sin(phis), np.full(n_steps, ct_)], axis=1)
+    a, b = arc[0], arc[-1]
+    omega_ab = math.acos(max(-1.0, min(1.0, float(a @ b))))
+    if omega_ab < 1e-15:
+        return -polygon_solid_angle(arc)
+    ts = np.linspace(0.0, 1.0, n_steps)[1:-1]
+    geo = (np.sin((1.0 - ts) * omega_ab)[:, None] * b + np.sin(ts * omega_ab)[:, None] * a) / math.sin(omega_ab)
+    return -polygon_solid_angle(np.vstack([arc, geo]))

@@ -24,7 +24,6 @@ from spinphase import (
     bloch_of,
     circular_distance,
     detector_probabilities,
-    evolve_spin,
     integrate_precession_ac,
     integrate_precession_sab,
     invert_observables,
@@ -156,7 +155,7 @@ def test_criterion_05_classical_quantum_correspondence():
             pulse = SmoothBumpPulse(rng.uniform(0.2, 2.0), t_on, t_on + duration, 0.25 * duration)
         t = t_on + duration * rng.uniform(0.5, 1.2)
         gamma = sab_precession_angle(pulse, t, units)
-        n = bloch_of(evolve_spin(spinor_from_angles(theta), gamma))
+        n = bloch_of(rotate_z(spinor_from_angles(theta), gamma))
         dip = precess_sab_closed_form(ClassicalDipole(1.0, theta), pulse, t, units)
         assert np.max(np.abs(n - dip.vector)) < 1e-8
     for k in range(10):
@@ -168,9 +167,9 @@ def test_criterion_05_classical_quantum_correspondence():
         path = PlanarPath(
             np.stack([radius * np.cos(arc_angles), radius * np.sin(arc_angles)], axis=1)
         )
-        gamma = ac_precession_angle(cfg, path, n_sub=64)
-        n = bloch_of(evolve_spin(spinor_from_angles(theta), gamma))
-        dip, _ = precess_ac_closed_form(ClassicalDipole(1.0, theta), cfg, path, n_sub=64)
+        gamma = ac_precession_angle(cfg, path)
+        n = bloch_of(rotate_z(spinor_from_angles(theta), gamma))
+        dip, _ = precess_ac_closed_form(ClassicalDipole(1.0, theta), cfg, path)
         assert np.max(np.abs(n - dip.vector)) < 1e-8
 
 
@@ -218,9 +217,9 @@ def test_criterion_07_stokes_enclosure():
     )
 
     gammas = [
-        ac_precession_angle(cfg, circle, n_sub=64),
-        ac_precession_angle(cfg, square, n_sub=4096),
-        ac_precession_angle(cfg, twelve_gon, n_sub=4096),
+        ac_precession_angle(cfg, circle),
+        ac_precession_angle(cfg, square),
+        ac_precession_angle(cfg, twelve_gon),
     ]
     for g in gammas:
         assert abs(g - expected) < 5e-7
@@ -230,8 +229,8 @@ def test_criterion_07_stokes_enclosure():
 
     far_circle = PlanarPath.circle((20.0, 5.0), 1.0, 64)
     far_square = PlanarPath.polygon([[8.0, 8.0], [9.0, 8.0], [9.0, 9.0], [8.0, 9.0]])
-    assert abs(ac_precession_angle(cfg, far_circle, n_sub=32)) < 1e-6
-    assert abs(ac_precession_angle(cfg, far_square, n_sub=32)) < 1e-6
+    assert abs(ac_precession_angle(cfg, far_circle)) < 1e-6
+    assert abs(ac_precession_angle(cfg, far_square)) < 1e-6
 
 
 @criterion("criterion 8: speed profiles leave the AC result invariant (1e-6)")
@@ -254,12 +253,12 @@ def test_criterion_08_velocity_independence():
     pulse = RectangularPulse(0.8, 0.0, 1.0)
     packet = GaussianPacket(x0=0.0, v=0.0, sigma0=0.2)
     region = RegionInterval(-100.0, 100.0)
-    report = nondispersivity_sweep(
+    gamma, contained = nondispersivity_sweep(
         packet, list(np.linspace(0.0, 3.0, 8)), region, pulse, units
     )
-    gammas = report.gamma_values()
-    assert all(row.contained for row in report.rows)
-    assert all(g == gammas[0] for g in gammas)
+    assert contained == [True] * 8
+    # one angle for every velocity, the pulse's alone
+    assert gamma == sab_precession_angle(pulse, 1.0, units)
 
 
 @criterion("criterion 9: force is axial (1e-8) and the gauge residual < 1e-6")

@@ -252,25 +252,25 @@ class TestAcClosedForm:
     def test_enclosed_charge_loop(self, unit_charge):
         d0 = ClassicalDipole(mu=1.0, theta=math.pi / 4)
         loop = PlanarPath.circle((0.0, 0.0), 1.0, 128)
-        d1, gamma = precess_ac_closed_form(d0, unit_charge, loop, n_sub=64)
+        d1, gamma = precess_ac_closed_form(d0, unit_charge, loop)
         assert gamma == pytest.approx(-1.0, abs=1e-6)
         assert d1.theta == d0.theta
 
     def test_non_enclosing_loop(self, unit_charge):
         loop = PlanarPath.circle((10.0, 10.0), 1.0, 64)
-        _, gamma = precess_ac_closed_form(ClassicalDipole(), unit_charge, loop, n_sub=32)
+        _, gamma = precess_ac_closed_form(ClassicalDipole(), unit_charge, loop)
         assert abs(gamma) < 1e-6
 
     def test_open_quarter_sweep(self, unit_charge):
         path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
-        _, gamma = precess_ac_closed_form(ClassicalDipole(), unit_charge, path, n_sub=512)
+        _, gamma = precess_ac_closed_form(ClassicalDipole(), unit_charge, path)
         assert gamma == pytest.approx(-0.25, abs=1e-6)
 
     def test_open_path_homotopy_independence(self, unit_charge):
         straight = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
         detour = PlanarPath(np.array([[2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
-        _, g1 = precess_ac_closed_form(ClassicalDipole(), unit_charge, straight, n_sub=1024)
-        _, g2 = precess_ac_closed_form(ClassicalDipole(), unit_charge, detour, n_sub=1024)
+        _, g1 = precess_ac_closed_form(ClassicalDipole(), unit_charge, straight)
+        _, g2 = precess_ac_closed_form(ClassicalDipole(), unit_charge, detour)
         assert g1 == pytest.approx(g2, abs=1e-6)
 
 
@@ -715,5 +715,5 @@ class TestClosedLoopTheorem:
             charges=[LineCharge(0.0, 0.0, 2.0), LineCharge(5.0, 0.0, -7.0)], units=units
         )
         loop = PlanarPath.circle((0.0, 0.0), 1.5, 128)
-        _, gamma = precess_ac_closed_form(ClassicalDipole(), cfg, loop, n_sub=64)
+        _, gamma = precess_ac_closed_form(ClassicalDipole(), cfg, loop)
         assert gamma == pytest.approx(-1.25 * 2.0, abs=1e-6)

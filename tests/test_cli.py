@@ -385,6 +385,8 @@ class TestPrecessionModes:
         header, rows = read_csv(out)
         assert header == ["velocity", "contained", "gamma", "valid"]
         assert [row[3] for row in rows] == ["true", "true", "true", "false"]
+        # a row is valid exactly when its packet is contained
+        assert all(row[3] == row[1] for row in rows)
         gammas = {row[2] for row in rows}
         assert len(gammas) == 1
 
@@ -453,7 +455,7 @@ class TestSeriesOracles:
         gamma, s = 0.0, 0.0
         expected = [[0.0, 0.0]]
         for i in range(len(verts) - 1):
-            gamma += factor * line_integral_A(cfg, PlanarPath(verts[i : i + 2]), 600)
+            gamma += factor * line_integral_A(cfg, PlanarPath(verts[i : i + 2]))
             s += float(np.linalg.norm(verts[i + 1] - verts[i]))
             expected.append([s, gamma])
         rows = json.loads(out.read_text())["rows"]

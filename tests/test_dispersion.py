@@ -16,15 +16,7 @@ from spinphase import (
     packet_at,
 )
 
-
-def sampled_oracle(p, region, pulse, k_sigma=5.0, n_time_samples=256):
-    """Containment checked at n_time_samples times spanning [t_on, t_off],
-    both endpoints included: an independent stand-in for the exact check."""
-    for t in np.linspace(pulse.t_on, pulse.t_off, n_time_samples):
-        center, width = packet_at(p, float(t))
-        if center - k_sigma * width < region.x_min or center + k_sigma * width > region.x_max:
-            return False
-    return True
+from reference import sampled_oracle
 
 
 velocity = st.one_of(
@@ -160,45 +152,46 @@ class TestSweep:
     def test_gamma_column_exactly_constant(self):
         region = RegionInterval(-100.0, 100.0)
         velocities = list(np.linspace(0.0, 3.0, 10))
-        report = nondispersivity_sweep(self.template, velocities, region, self.pulse, self.units)
-        assert len(report.rows) == 10
-        gammas = report.gamma_values()
-        assert all(g == gammas[0] for g in gammas)
-        assert gammas[0] == pytest.approx(-2.0 * 0.7, abs=1e-15)
-        assert all(row.contained and row.valid for row in report.rows)
+        gamma, contained = nondispersivity_sweep(self.template, velocities, region, self.pulse, self.units)
+        assert len(contained) == 10
+        # one float, shared by every velocity
+        assert type(gamma) is float
+        assert gamma == pytest.approx(-2.0 * 0.7, abs=1e-15)
+        assert all(contained)
 
     def test_escaping_velocity_flagged(self):
         region = RegionInterval(-3.0, 3.0)
         heavy = GaussianPacket(x0=0.0, v=0.0, sigma0=0.2, m=50.0)  # mild spreading
-        report = nondispersivity_sweep(
+        gamma, contained = nondispersivity_sweep(
             heavy, [0.0, 1.0, 500.0], region, self.pulse, self.units
         )
-        assert [row.valid for row in report.rows] == [True, True, False]
-        # gamma is still reported for the flagged row
-        assert report.rows[2].gamma == report.rows[0].gamma
+        assert contained == [True, True, False]
+        # the escaping velocity leaves gamma as it is for contained ones
+        assert gamma == nondispersivity_sweep(heavy, [0.0], region, self.pulse, self.units)[0]
 
     def test_sweep_matches_per_velocity_calls(self):
         rng = np.random.default_rng(12)
         velocities = list(rng.normal(0.0, 60.0, 500))
         region = RegionInterval(-40.0, 90.0)
         packet = GaussianPacket(x0=1.0, v=0.0, sigma0=0.3, m=0.5)
-        report = nondispersivity_sweep(packet, velocities, region, self.pulse, self.units, k_sigma=4.0)
-        assert [row.velocity for row in report.rows] == velocities
+        gamma, contained = nondispersivity_sweep(packet, velocities, region, self.pulse, self.units, k_sigma=4.0)
         expected = [
             contained_during_pulse(GaussianPacket(1.0, v, 0.3, m=0.5), region, self.pulse, k_sigma=4.0)
             for v in velocities
         ]
-        assert [row.contained for row in report.rows] == expected
-        assert [row.valid for row in report.rows] == expected
+        assert contained == expected
         assert 0 < sum(expected) < len(expected)
-        assert all(type(row.contained) is bool and type(row.valid) is bool for row in report.rows)
-        assert all(type(row.velocity) is float for row in report.rows)
+        assert all(type(inside) is bool for inside in contained)
+        assert type(gamma) is float
 
     def test_rows_keep_input_order(self):
-        region = RegionInterval(-100.0, 100.0)
-        velocities = [2.0, 0.5, 1.0]
-        report = nondispersivity_sweep(self.template, velocities, region, self.pulse, self.units)
-        assert [row.velocity for row in report.rows] == velocities
+        region = RegionInterval(-3.0, 3.0)
+        heavy = GaussianPacket(x0=0.0, v=0.0, sigma0=0.2, m=50.0)
+        velocities = [500.0, 0.0, 1.0, -500.0, 2.5]
+        _, contained = nondispersivity_sweep(heavy, velocities, region, self.pulse, self.units)
+        assert contained == [False, True, True, False, False]
+        _, backward = nondispersivity_sweep(heavy, velocities[::-1], region, self.pulse, self.units)
+        assert backward == contained[::-1]
 
 
 class TestValidation:

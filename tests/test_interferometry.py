@@ -25,6 +25,8 @@ from spinphase import (
     wrap_angle,
 )
 
+from reference import fan_oracle
+
 # frozen from the explicit inner-product oracle at theta = phi_D = pi/4:
 # z = cos(pi/4) + i cos(pi/4) sin(pi/4)
 PHI_REF = 0.6154797086703873
@@ -57,43 +59,6 @@ def omega_oracle(theta, delta):
         return 0.0
     sign = -math.copysign(1.0, math.cos(theta)) * math.copysign(1.0, delta)
     return sign * lens_area_oracle(theta, abs(delta))
-
-
-def polygon_solid_angle(verts):
-    """Right-handed signed solid angle of a closed spherical polygon.
-
-    Triangle fan about the mean direction, each triangle by the
-
-        omega = 2 atan2(det[c, v1, v2], 1 + c.v1 + v1.v2 + v2.c)
-
-    formula; positive for counterclockwise traversal seen from outside.
-    """
-    center = verts.mean(axis=0)
-    c = center / np.linalg.norm(center)
-    v1 = verts
-    v2 = np.roll(verts, -1, axis=0)
-    triple = np.einsum("ij,ij->i", np.cross(np.broadcast_to(c, v1.shape), v1), v2)
-    denom = 1.0 + v1 @ c + np.einsum("ij,ij->i", v1, v2) + v2 @ c
-    return float(np.sum(2.0 * np.arctan2(triple, denom)))
-
-
-def fan_oracle(theta, delta, n_steps):
-    """Signed solid angle from the discretized arc and geodesic closure.
-
-    The arc and the shortest great-circle arc back to its start are each
-    sampled with n_steps points and summed by polygon_solid_angle; the
-    error falls as n_steps^-2 and stays below (pi / n_steps)^2.
-    """
-    st_, ct_ = math.sin(theta), math.cos(theta)
-    phis = np.linspace(0.0, delta, n_steps)
-    arc = np.stack([st_ * np.cos(phis), st_ * np.sin(phis), np.full(n_steps, ct_)], axis=1)
-    a, b = arc[0], arc[-1]
-    omega_ab = math.acos(max(-1.0, min(1.0, float(a @ b))))
-    if omega_ab < 1e-15:
-        return -polygon_solid_angle(arc)
-    ts = np.linspace(0.0, 1.0, n_steps)[1:-1]
-    geo = (np.sin((1.0 - ts) * omega_ab)[:, None] * b + np.sin(ts * omega_ab)[:, None] * a) / math.sin(omega_ab)
-    return -polygon_solid_angle(np.vstack([arc, geo]))
 
 
 def fan_cases():

@@ -20,7 +20,6 @@ from spinphase import (
     UnitSystem,
     ac_precession_angle,
     bloch_of,
-    evolve_spin,
     precess_sab_closed_form,
     pulse_integral_B,
     rotate_z,
@@ -147,7 +146,7 @@ class TestPrecessionAngles:
         # unit loop around lambda=1: gamma = -2, twice the ideal fringe shift
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
         loop = PlanarPath.circle((0.0, 0.0), 1.0, 128)
-        gamma = ac_precession_angle(cfg, loop, n_sub=64)
+        gamma = ac_precession_angle(cfg, loop)
         assert gamma == pytest.approx(-2.0, abs=1e-6)
         phi_ideal = cfg.units.mu * 1.0 / (cfg.units.hbar * cfg.units.eps0 * cfg.units.c**2)
         assert gamma == pytest.approx(-2.0 * phi_ideal, abs=1e-6)
@@ -155,28 +154,20 @@ class TestPrecessionAngles:
     def test_non_enclosing_loop(self):
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
         loop = PlanarPath.circle((7.0, 0.0), 0.5, 64)
-        assert abs(ac_precession_angle(cfg, loop, n_sub=32)) < 1e-6
+        assert abs(ac_precession_angle(cfg, loop)) < 1e-6
 
     def test_open_quarter_sweep(self):
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
         path = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
-        assert ac_precession_angle(cfg, path, n_sub=512) == pytest.approx(-0.5, abs=1e-6)
+        assert ac_precession_angle(cfg, path) == pytest.approx(-0.5, abs=1e-6)
 
     def test_homotopic_paths_agree(self):
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
         straight = PlanarPath.line([2.0, 0.0], [0.0, 2.0])
         detour = PlanarPath(np.array([[2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
-        g1 = ac_precession_angle(cfg, straight, n_sub=1024)
-        g2 = ac_precession_angle(cfg, detour, n_sub=1024)
+        g1 = ac_precession_angle(cfg, straight)
+        g2 = ac_precession_angle(cfg, detour)
         assert g1 == pytest.approx(g2, abs=1e-6)
-
-
-class TestEvolveSpin:
-    def test_is_the_rotation(self):
-        s = spinor_from_angles(0.9, 0.2)
-        a = evolve_spin(s, 1.3)
-        b = rotate_z(s, 1.3)
-        assert a == b
 
 
 class TestCorrespondence:
@@ -188,7 +179,7 @@ class TestCorrespondence:
             pulse = RectangularPulse(rng.uniform(0.2, 2.0), 0.0, rng.uniform(0.5, 2.0))
             t = pulse.t_off * 1.1
             gamma = sab_precession_angle(pulse, t, units)
-            n = bloch_of(evolve_spin(spinor_from_angles(theta), gamma))
+            n = bloch_of(rotate_z(spinor_from_angles(theta), gamma))
             dip = precess_sab_closed_form(ClassicalDipole(1.0, theta), pulse, t, units)
             np.testing.assert_allclose(n, dip.vector, atol=1e-8)
 
@@ -223,7 +214,7 @@ class TestGaugeCancellation:
             cfg = FieldConfig(charges=charges, units=units)
             phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(2, 20))))
             arc = PlanarPath(rng.uniform(1.5, 3.0) * np.stack([np.cos(phis), np.sin(phis)], axis=1))
-            fd_step, n_sub = 10.0 ** rng.uniform(-6, -2), int(rng.integers(1, 40))
+            fd_step = 10.0 ** rng.uniform(-6, -2)
             worst = 0.0
             for p in 0.5 * (arc.vertices[:-1] + arc.vertices[1:]):
                 grad = np.empty(2)
@@ -231,10 +222,10 @@ class TestGaugeCancellation:
                     step = np.zeros(2)
                     step[axis] = fd_step
                     seg = PlanarPath(np.array([p - step, p + step]))
-                    grad[axis] = ac_precession_angle(cfg, seg, units=units, n_sub=n_sub) / (2.0 * fd_step)
+                    grad[axis] = ac_precession_angle(cfg, seg, units=units) / (2.0 * fd_step)
                 resid = 0.5 * units.hbar * grad + units.mu * eval_A(cfg, p)
                 worst = max(worst, float(np.linalg.norm(resid)))
-            assert verify_gauge_cancellation(cfg, arc, fd_step=fd_step, n_sub=n_sub) == worst, seed
+            assert verify_gauge_cancellation(cfg, arc, fd_step=fd_step) == worst, seed
 
     def test_midpoint_on_charge_raises(self):
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
@@ -252,7 +243,7 @@ class TestGaugeCancellation:
             verify_gauge_cancellation(cfg, path, fd_step=fd_step)
         assert excinfo.value.segment == 2
 
-    @pytest.mark.parametrize("kwargs", [{"fd_step": 0.0}, {"n_sub": 0}], ids=["fd-step-zero", "n-sub-zero"])
+    @pytest.mark.parametrize("kwargs", [{"fd_step": 0.0}], ids=["fd-step-zero"])
     def test_rejects_degenerate_stencil(self, kwargs):
         cfg = FieldConfig(charges=[LineCharge(0.0, 0.0, 1.0)])
         with pytest.raises(ValueError):
