@@ -1,6 +1,6 @@
 """Command-line front end: precession series, interference sweeps, chi-scan
 fringe experiments, and nondispersivity reports driven by JSON scenario
-configs.
+configs, which spinphase.config reads and checks.
 
 Output is deterministic: CSV cells use 17 significant digits with '.' decimal
 separators and bare newline line endings, and JSON has the layout of
@@ -17,29 +17,20 @@ path that passes a charge is reported with its lowest offending segment.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from .classical import _moment
-from .dispersion import GaussianPacket, RegionInterval, nondispersivity_sweep
+from .config import _KEYS, MODES, Scenario, _load_config, build_scenario
+from .dispersion import nondispersivity_sweep
 from .errors import ConfigError, InsufficientSamples, SpinPhaseError, UndefinedPhase
-from .fields import (
-    ConfigObject,
-    FieldConfig,
-    PlanarPath,
-    UnitSystem,
-    _row_norms,
-    _segment_integrals,
-    pulse_integral_B,
-)
+from .fields import _row_norms, _segment_integrals, pulse_integral_B
 from .interferometry import (
     CSV_COLUMNS,
     EPS_VIS,
@@ -51,52 +42,6 @@ from .interferometry import (
 from .quantum import _bloch, rotate_z, spinor_from_angles
 
 TWO_PI = 2.0 * math.pi
-
-MODES = (
-    "sab-classical",
-    "ac-classical",
-    "sab-quantum",
-    "ac-quantum",
-    "interfere",
-    "sweep",
-    "chi-scan",
-    "nondispersive",
-)
-
-_ANGLE_KEYS = ("theta", "azimuth", "phi_d", "phi", "grid_theta", "grid_phid")
-
-
-@dataclass
-class Scenario:
-    """A validated run description (file config merged with flag overrides).
-
-    Each field is a config key, and each default here is the only one.
-    """
-
-    mode: str
-    out: Path
-    format: str = "csv"
-    field: FieldConfig | None = None
-    theta: float | None = None
-    azimuth: float = 0.0
-    phi_d: float | None = None
-    phi: float | None = None
-    visibility: float | None = None
-    path: PlanarPath | None = None
-    grid_theta: np.ndarray | None = None
-    grid_phid: np.ndarray | None = None
-    chi_samples: int = 64
-    t_max: float | None = None
-    n_t: int = 101
-    n_sub: int = 32
-    solid_angle_steps: int = 2048
-    packet: GaussianPacket | None = None
-    region: RegionInterval | None = None
-    velocities: list[float] | None = None
-    k_sigma: float = 5.0
-
-
-_KEYS = frozenset(f.name for f in dataclasses.fields(Scenario))
 
 
 def fit_fringe(samples: Sequence[tuple[float, float]]) -> tuple[float | None, float]:
@@ -179,60 +124,30 @@ def _json_text(mode: str, columns: Sequence[str], rows: Sequence[Sequence[Any]],
     return "{\n" + ",\n".join(members) + "\n}\n"
 
 
-def _require(scenario: Scenario, attr: str, key: str) -> Any:
-    value = getattr(scenario, attr)
-    if value is None:
-        raise ConfigError(f"mode {scenario.mode!r} requires config key {key!r}")
-    return value
-
-
-def _require_pulse(scenario: Scenario):
-    fc = _require(scenario, "field", "field")
-    if fc.pulse is None:
-        raise ConfigError(f"mode {scenario.mode!r} requires config key 'field.pulse'")
-    return fc
-
-
 def _run_interfere(sc: Scenario):
-    theta = _require(sc, "theta", "theta")
-    phi_d = _require(sc, "phi_d", "phi_d")
-    result = compute_interference(theta, phi_d, sc.solid_angle_steps)
-    return list(CSV_COLUMNS), [list(result.values())], None
+    return list(CSV_COLUMNS), [list(compute_interference(sc.theta, sc.phi_d, sc.solid_angle_steps).values())], None
 
 
 def _run_sweep(sc: Scenario):
-    grid_theta = _require(sc, "grid_theta", "grid_theta")
-    grid_phid = _require(sc, "grid_phid", "grid_phid")
     rows = []
-    for theta in grid_theta:
-        for phi_d in grid_phid:
+    for theta in sc.grid_theta:
+        for phi_d in sc.grid_phid:
             rows.append(list(compute_interference(float(theta), float(phi_d), sc.solid_angle_steps).values()))
     return list(CSV_COLUMNS), rows, None
 
 
 def _run_chi_scan(sc: Scenario):
-    if sc.phi is not None or sc.visibility is not None:
-        if sc.phi is None or sc.visibility is None:
-            raise ConfigError("chi-scan ground truth needs both keys 'phi' and 'visibility'")
+    if sc.phi is not None:  # the ground truth; a config gives phi and visibility together
         phi, nu = sc.phi, sc.visibility
     else:
-        theta = _require(sc, "theta", "theta")
-        phi_d = _require(sc, "phi_d", "phi_d")
-        nu = nonideal_visibility(theta, phi_d)
+        nu = nonideal_visibility(sc.theta, sc.phi_d)
         try:
-            phi = nonideal_phase(theta, phi_d)
+            phi = nonideal_phase(sc.theta, sc.phi_d)
         except UndefinedPhase:
             phi = 0.0  # the fringe is flat; the phase value is immaterial
-    if not 0.0 <= nu <= 1.0:
-        raise ConfigError("config key 'visibility' must lie in [0, 1]")
-    rows = []
-    samples = []
-    for j in range(sc.chi_samples):
-        chi = TWO_PI * j / sc.chi_samples
-        p1, p2 = detector_probabilities(phi, nu, chi)
-        rows.append([chi, p1, p2])
-        samples.append((chi, p1))
-    fit_phi, fit_nu = fit_fringe(samples)
+    chis = [TWO_PI * j / sc.chi_samples for j in range(sc.chi_samples)]
+    rows = [[chi, *detector_probabilities(phi, nu, chi)] for chi in chis]
+    fit_phi, fit_nu = fit_fringe([(chi, p1) for chi, p1, _ in rows])
     extras = {"fit": {"phi": fit_phi, "visibility": fit_nu}}
     return ["chi", "P1", "P2"], rows, extras
 
@@ -241,8 +156,6 @@ def _sab_series(sc: Scenario, factor: float):
     """(t,) and the precession angle at each time of the grid."""
     pulse = sc.field.pulse
     t_max = sc.t_max if sc.t_max is not None else max(pulse.t_off, 0.0)
-    if t_max < 0.0:
-        raise ConfigError("config key 't_max' must be nonnegative")
     for t in np.linspace(0.0, t_max, sc.n_t).tolist():
         yield [t], factor * pulse_integral_B(pulse, 0.0, t)
 
@@ -255,8 +168,7 @@ def _ac_series(sc: Scenario, factor: float):
     the caller reports the first such row. So do the segment lengths, and a
     path length past the float range raises SpinPhaseError at its row.
     """
-    path = _require(sc, "path", "path")
-    verts = path.vertices
+    verts = sc.path.vertices
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         segments = _segment_integrals(sc.field, verts[:-1], verts[1:]).tolist()
         lengths = _row_norms(verts[1:] - verts[:-1]).tolist()
@@ -277,8 +189,7 @@ def _run_series(sc: Scenario):
     grid for sab modes or the path for ac modes, and a row formula for the
     precessed state, the classical moment or the spin's Bloch vector."""
     family, flavour = sc.mode.split("-")
-    units = (_require_pulse(sc) if family == "sab" else _require(sc, "field", "field")).units
-    theta = _require(sc, "theta", "theta")
+    units, theta = sc.field.units, sc.theta
     if flavour == "classical":
         factor = -units.Gamma
         names = ["mu_x", "mu_y", "mu_z"]
@@ -287,7 +198,7 @@ def _run_series(sc: Scenario):
             return _moment(units.mu, theta, sc.azimuth + gamma)
 
     else:
-        factor = -2.0 * units.mu / units.hbar
+        factor = units.spin_factor
         names = ["n_x", "n_y", "n_z"]
         s0 = spinor_from_angles(theta, sc.azimuth)
 
@@ -307,19 +218,10 @@ def _run_series(sc: Scenario):
 
 
 def _run_nondispersive(sc: Scenario):
-    fc = _require_pulse(sc)
-    packet = _require(sc, "packet", "packet")
-    region = _require(sc, "region", "region")
-    velocities = _require(sc, "velocities", "velocities")
-    if len(velocities) == 0:
-        raise ConfigError("config key 'velocities' must be nonempty")
-    if fc.pulse.t_on < 0.0:
-        raise ConfigError("config key 'field.pulse.t_on' must be nonnegative in mode 'nondispersive'")
-    if not sc.k_sigma > 0.0:
-        raise ConfigError("config key 'k_sigma' must be positive")
-    gamma, contained = nondispersivity_sweep(packet, velocities, region, fc.pulse, fc.units, sc.k_sigma)
+    fc = sc.field
+    gamma, contained = nondispersivity_sweep(sc.packet, sc.velocities, sc.region, fc.pulse, fc.units, sc.k_sigma)
     # a row is valid (inside the nondispersive regime) exactly when its packet is contained
-    rows = [[v, inside, gamma, inside] for v, inside in zip(velocities, contained)]
+    rows = [[v, inside, gamma, inside] for v, inside in zip(sc.velocities, contained)]
     return ["velocity", "contained", "gamma", "valid"], rows, None
 
 
@@ -327,11 +229,8 @@ _RUNNERS = {
     "interfere": _run_interfere,
     "sweep": _run_sweep,
     "chi-scan": _run_chi_scan,
-    "sab-classical": _run_series,
-    "sab-quantum": _run_series,
-    "ac-classical": _run_series,
-    "ac-quantum": _run_series,
     "nondispersive": _run_nondispersive,
+    **dict.fromkeys(("sab-classical", "sab-quantum", "ac-classical", "ac-quantum"), _run_series),
 }
 
 
@@ -359,79 +258,6 @@ def run(scenario: Scenario) -> int:
         fit = extras["fit"]
         print(f"fit: phi={_format_cell(fit['phi'])} visibility={_format_cell(fit['visibility'])}")
     return 0
-
-
-def _load_config(path: Path | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser goes
-        raise ConfigError(f"config file is not valid JSON: {exc!r}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return cfg
-
-
-def build_scenario(args: argparse.Namespace) -> Scenario:
-    """Merge the flags into the config file's keys and read the result.
-
-    Every value goes through the typed readers of ConfigObject, so a flag
-    and its config key are validated alike; keys left out take the Scenario
-    defaults.
-    """
-    cfg = _load_config(args.config)
-    cfg.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
-    unknown = sorted(set(cfg) - _KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-
-    mode = cfg.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"config key 'mode' must be one of {', '.join(MODES)}; got {mode!r}")
-    out = cfg.get("out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("config key 'out' is required and must be a file path")
-    fmt = cfg.get("format")
-    if fmt not in (None, "csv", "json"):
-        raise ConfigError(f"config key 'format' must be 'csv' or 'json', got {fmt!r}")
-
-    root = ConfigObject(cfg)
-    field = cfg.get("field")
-    field = None if field is None else FieldConfig.from_dict(field, "field")
-    units = field.units if field is not None else UnitSystem()
-    values: dict[str, Any] = {"mode": mode, "out": Path(out), "format": fmt, "field": field}
-    for key in ("theta", "azimuth", "phi_d", "phi", "visibility", "t_max", "k_sigma"):
-        values[key] = root.number(key, None)
-    for key, low in (("chi_samples", 3), ("n_t", 1), ("n_sub", 1), ("solid_angle_steps", 2)):
-        values[key] = root.count(key, None, low)
-    values["grid_theta"] = root.grid("grid_theta", None)
-    values["grid_phid"] = root.grid("grid_phid", None)
-    values["velocities"] = root.numbers("velocities", None)
-    path = cfg.get("path")
-    values["path"] = None if path is None else PlanarPath.from_dict(path, "path")
-    packet = root.object("packet", None)
-    if packet is not None:
-        values["packet"] = packet.build(
-            GaussianPacket,
-            x0=packet.number("x0"),
-            v=packet.number("v", 0.0),
-            sigma0=packet.number("sigma0"),
-            m=packet.number("m", units.m),
-            hbar=packet.number("hbar", units.hbar),
-        )
-    region = root.object("region", None)
-    if region is not None:
-        values["region"] = region.build(RegionInterval, region.number("x_min"), region.number("x_max"))
-
-    if args.degrees:
-        factor = math.pi / 180.0
-        for key in _ANGLE_KEYS:
-            if values[key] is not None:
-                values[key] = values[key] * factor
-    return Scenario(**{key: value for key, value in values.items() if value is not None})
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -471,9 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one scenario: the flags merged into the config file's keys."""
     try:
-        return run(build_scenario(build_parser().parse_args(argv)))
+        args = _PARSER.parse_args(argv)
+        cfg = _load_config(args.config)
+        cfg.update((key, value) for key, value in vars(args).items() if key in _KEYS and value is not None)
+        return run(build_scenario(cfg, args.degrees))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,128 +8,22 @@ counterclockwise loop equals lambda_enc / (eps0 c^2) by Gauss's law,
 independent of the loop shape.
 
 Default units are natural (hbar = c = eps0 = 1).
-
-Scenario configs enter through ``ConfigObject``: every value is read by one of
-a few typed, finite-only readers, and every rejection is a ConfigError naming
-the value's key path, e.g. ``field.charges[0].x``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, SingularPoint
+from .errors import SingularPoint
 
 #: Sample points closer than this to a line charge raise SingularPoint.
 SINGULAR_DISTANCE = 1e-9
 
 TWO_PI = 2.0 * math.pi
-
-#: Cap on the point count of each sweep grid axis.
-MAX_GRID_COUNT = 1_000
-
-#: Cap on every other config count: n_t, chi_samples, n_sub,
-#: solid_angle_steps, and the lengths of the velocity, vertex and charge lists.
-MAX_COUNT = 100_000
-
-_REQUIRED = object()
-
-
-def _number(value: Any, key: str) -> float:
-    # ints compare exactly, so NaN, +-inf and integers beyond the float range all fail
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"config key {key!r} must be a finite number")
-    return float(value)
-
-
-def _count(value: Any, key: str, low: int, cap: int) -> int:
-    x = _number(value, key)
-    if not x.is_integer() or not low <= x <= cap:
-        raise ConfigError(f"config key {key!r} must be an integer from {low} to {cap}")
-    return int(x)
-
-
-def _entries(value: Any, key: str) -> list[tuple[str, Any]]:
-    if not isinstance(value, list) or len(value) > MAX_COUNT:
-        raise ConfigError(f"config key {key!r} must be a list of at most {MAX_COUNT} entries")
-    return [(f"{key}[{i}]", item) for i, item in enumerate(value)]
-
-
-def _grid(value: Any, key: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"config key {key!r} must be a [start, stop, count] triple")
-    start, stop = _number(value[0], f"{key}[0]"), _number(value[1], f"{key}[1]")
-    count = _count(value[2], f"{key}[2]", 1, MAX_GRID_COUNT)
-    if not math.isfinite(stop - start):
-        raise ConfigError(f"config key {key!r} spans more than the float range")
-    return np.linspace(start, stop, count)
-
-
-class ConfigObject:
-    """One JSON object of a scenario config, read one typed value at a time.
-
-    ``path`` is the object's key path ("" at the top level). Numbers must be
-    finite JSON numbers, not strings or bools; counts must be integers within
-    their caps. A key that is absent or null reads as ``default``, and is
-    rejected as required when no default is given.
-    """
-
-    def __init__(self, data: Any, path: str = ""):
-        if not isinstance(data, dict):
-            raise ConfigError(f"config key {path!r} must be an object")
-        self.data = data
-        self.path = path
-
-    def key(self, name: str) -> str:
-        return f"{self.path}.{name}" if self.path else name
-
-    def _read(self, name: str, default: Any, reader: Callable[[Any, str], Any]) -> Any:
-        value = self.data.get(name)
-        if value is not None:
-            return reader(value, self.key(name))
-        if default is _REQUIRED:
-            raise ConfigError(f"config key {self.key(name)!r} is required")
-        return default
-
-    def number(self, name: str, default: Any = _REQUIRED) -> float:
-        return self._read(name, default, _number)
-
-    def count(self, name: str, default: Any = _REQUIRED, low: int = 1) -> int:
-        return self._read(name, default, lambda value, key: _count(value, key, low, MAX_COUNT))
-
-    def object(self, name: str, default: Any = _REQUIRED) -> "ConfigObject":
-        return self._read(name, default, ConfigObject)
-
-    def entries(self, name: str, default: Any = _REQUIRED) -> list[tuple[str, Any]]:
-        """(key path, value) of each entry of a list."""
-        return self._read(name, default, _entries)
-
-    def numbers(self, name: str, default: Any = _REQUIRED) -> list[float]:
-        return self._read(
-            name, default, lambda value, key: [_number(x, where) for where, x in _entries(value, key)]
-        )
-
-    def grid(self, name: str, default: Any = _REQUIRED) -> np.ndarray:
-        """np.linspace(a, b, n) of an [a, b, n] triple."""
-        return self._read(name, default, _grid)
-
-    def build(self, cls: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """cls(*args, **kwargs), its ValueError reported as a ConfigError.
-
-        Constructors start each validation message with the offending
-        attribute ("hbar must be ..."), so the report names its full key path.
-        """
-        try:
-            return cls(*args, **kwargs)
-        except ValueError as exc:
-            name, _, rest = str(exc).partition(" ")
-            raise ConfigError(f"config key {self.key(name)!r} {rest}") from None
-
 
 @dataclass(frozen=True)
 class UnitSystem:
@@ -158,10 +52,10 @@ class UnitSystem:
         if not math.isfinite(self.c * self.c):
             raise ValueError(f"c must have a finite square, got {self.c}")
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "units") -> "UnitSystem":
-        obj = ConfigObject(data, path)
-        return obj.build(cls, **{k: obj.number(k) for k in ("hbar", "c", "eps0", "mu", "Gamma", "m")})
+    @property
+    def spin_factor(self) -> float:
+        """-2 mu / hbar: the spin-1/2 precession angle per unit field integral."""
+        return -2.0 * self.mu / self.hbar
 
 
 @dataclass(frozen=True)
@@ -285,13 +179,9 @@ PulseProfile = Union[RectangularPulse, SmoothBumpPulse]
 
 
 def pulse_from_dict(data: dict, path: str = "pulse") -> PulseProfile:
-    obj = ConfigObject(data, path)
-    shape = data.get("shape")
-    if shape == "rectangular":
-        return obj.build(RectangularPulse, *(obj.number(k) for k in ("B0", "t_on", "t_off")))
-    if shape == "smooth-bump":
-        return obj.build(SmoothBumpPulse, *(obj.number(k) for k in ("B0", "t_on", "t_off", "ramp")))
-    raise ConfigError(f"config key {obj.key('shape')!r} must be 'rectangular' or 'smooth-bump'")
+    from .config import pulse_from_dict
+
+    return pulse_from_dict(data, path)
 
 
 def pulse_integral_B(pulse: PulseProfile, t0: float, t1: float) -> float:
@@ -360,19 +250,6 @@ class PlanarPath:
         return PlanarPath(self.vertices[::-1].copy(), closed=self.closed)
 
     @classmethod
-    def from_dict(cls, data: dict, path: str = "path") -> "PlanarPath":
-        obj = ConfigObject(data, path)
-        vertices = []
-        for key, vertex in obj.entries("vertices"):
-            if not isinstance(vertex, list) or len(vertex) != 2:
-                raise ConfigError(f"config key {key!r} must be an [x, y] pair")
-            vertices.append([_number(vertex[0], f"{key}[0]"), _number(vertex[1], f"{key}[1]")])
-        closed = data.get("closed", False)
-        if closed is not None and not isinstance(closed, bool):
-            raise ConfigError(f"config key {obj.key('closed')!r} must be true or false")
-        return obj.build(cls, np.asarray(vertices, dtype=float), bool(closed))
-
-    @classmethod
     def line(cls, start: Sequence[float], end: Sequence[float]) -> "PlanarPath":
         return cls(np.array([start, end], dtype=float))
 
@@ -402,20 +279,6 @@ class FieldConfig:
     charges: list[LineCharge] = field(default_factory=list)
     pulse: PulseProfile | None = None
     units: UnitSystem = field(default_factory=UnitSystem)
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "field") -> "FieldConfig":
-        obj = ConfigObject(data, path)
-        charges = []
-        for key, entry in obj.entries("charges", []):
-            charge = ConfigObject(entry, key)
-            charges.append(LineCharge(charge.number("x"), charge.number("y"), charge.number("lambda")))
-        pulse, units = data.get("pulse"), data.get("units")
-        return cls(
-            charges=charges,
-            pulse=None if pulse is None else pulse_from_dict(pulse, obj.key("pulse")),
-            units=UnitSystem() if units is None else UnitSystem.from_dict(units, obj.key("units")),
-        )
 
 
 def eval_E(cfg: FieldConfig, p) -> np.ndarray:
@@ -466,6 +329,8 @@ def _check_segments(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> N
     SINGULAR_DISTANCE of it; an end that is also the next segment's start
     counts only for that segment. The charges are taken in order, and the
     error carries the segment's closest point to the first one it meets.
+    Only the lowest hit so far is kept, so memory does not grow with the
+    number of charges.
     """
     # an end that is also the next segment's start counts for that segment
     shared_end = np.zeros(len(starts), dtype=bool)
@@ -473,8 +338,7 @@ def _check_segments(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> N
     d = ends - starts
     dd = d[:, 0] ** 2 + d[:, 1] ** 2
     safe_dd = np.where(dd > 0.0, dd, 1.0)
-    hit = np.zeros(len(starts), dtype=bool)
-    closest = []
+    lowest, first = len(starts), None
     for charge in cfg.charges:
         a = starts - charge.position
         b = ends - charge.position
@@ -483,14 +347,14 @@ def _check_segments(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> N
         r = a + t[:, None] * d
         near = r[:, 0] ** 2 + r[:, 1] ** 2 < SINGULAR_DISTANCE**2
         near &= ~(shared_end & (b[:, 0] ** 2 + b[:, 1] ** 2 < SINGULAR_DISTANCE**2))
-        hit |= near
-        closest.append((near, t))
-    if not hit.any():
-        return
-    i = int(np.argmax(hit))
-    for near, t in closest:
-        if near[i]:
-            raise SingularPoint(starts[i] + t[i] * d[i], segment=i)
+        i = int(np.argmax(near))
+        if near[i] and i < lowest:
+            lowest, first = i, charge
+    if first is not None:
+        # the reported segment's closest point, by the same arithmetic
+        i, a = lowest, starts[lowest] - first.position
+        t = np.clip(-(a[0] * d[i, 0] + a[1] * d[i, 1]) / safe_dd[i], 0.0, 1.0)
+        raise SingularPoint(starts[i] + t * d[i], segment=i)
 
 
 def _segment_integrals(cfg: FieldConfig, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

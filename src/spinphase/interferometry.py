@@ -117,10 +117,10 @@ def nonideal_visibility(theta: float, phi_d: float) -> float:
     """Fringe visibility sqrt(1 - sin^2 theta sin^2 phi_D).
 
     Evaluated in the equivalent form hypot(cos phi_D, cos theta sin phi_D),
-    which stays accurate near zero visibility; at theta = pi/2 it reduces to
-    |cos phi_D|.
+    which stays accurate near zero visibility, and capped at 1 against
+    rounding; at theta = pi/2 it reduces to |cos phi_D|.
     """
-    return math.hypot(math.cos(phi_d), math.cos(theta) * math.sin(phi_d))
+    return min(math.hypot(math.cos(phi_d), math.cos(theta) * math.sin(phi_d)), 1.0)
 
 
 def detector_probabilities(phi: float, nu: float, chi: float) -> tuple[float, float]:

@@ -88,14 +88,14 @@ def sab_precession_angle(pulse: PulseProfile, t: float, units: UnitSystem) -> fl
     """Spin precession angle -(2 mu / hbar) integral_0^t B(t') dt'."""
     if not t >= 0.0:
         raise ValueError("t must be nonnegative")
-    return -2.0 * units.mu / units.hbar * pulse_integral_B(pulse, 0.0, t)
+    return units.spin_factor * pulse_integral_B(pulse, 0.0, t)
 
 
 def ac_precession_angle(cfg: FieldConfig, path: PlanarPath, units: UnitSystem | None = None) -> float:
     """Spin precession angle -(2 mu / hbar) integral A . dr along the path,
     the integral taken exactly by line_integral_A."""
     units = units or cfg.units
-    return -2.0 * units.mu / units.hbar * line_integral_A(cfg, path)
+    return units.spin_factor * line_integral_A(cfg, path)
 
 
 def verify_gauge_cancellation(
@@ -132,7 +132,7 @@ def verify_gauge_cancellation(
     starts = (mids[:, None, :] - steps).reshape(-1, 2)
     ends = (mids[:, None, :] + steps).reshape(-1, 2)
     try:
-        angles = -2.0 * units.mu / units.hbar * _segment_integrals(cfg, starts, ends)
+        angles = units.spin_factor * _segment_integrals(cfg, starts, ends)
     except SingularPoint as exc:
         raise SingularPoint(exc.point, segment=exc.segment // 2) from None
     grad = angles.reshape(-1, 2) / (2.0 * fd_step)

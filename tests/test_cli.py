@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import spinphase
 from spinphase import (
     ClassicalDipole,
-    FieldConfig,
     PlanarPath,
     bloch_of,
     detector_probabilities,
@@ -31,8 +30,8 @@ from spinphase import (
 )
 from spinphase.classical import _moment
 from spinphase.cli import MODES, _json_text, fit_fringe, main
+from spinphase.config import MAX_COUNT, field_from_dict
 from spinphase.errors import InsufficientSamples
-from spinphase.fields import MAX_COUNT
 from spinphase.interferometry import circular_distance
 from spinphase.quantum import _bloch
 
@@ -450,7 +449,7 @@ class TestSeriesOracles:
         config = {"mode": mode, "field": field, "path": {"vertices": verts.tolist()}, "theta": 0.7,
                   "azimuth": 0.2, "n_sub": 600, "format": "json", "out": str(out)}
         assert main(["--config", str(write_config(tmp_path, "cfg.json", config))]) == 0
-        cfg = FieldConfig.from_dict(field)
+        cfg = field_from_dict(field)
         factor = -units["Gamma"] if mode == "ac-classical" else -2.0 * units["mu"] / units["hbar"]
         gamma, s = 0.0, 0.0
         expected = [[0.0, 0.0]]
@@ -548,6 +547,17 @@ def changed(base, key, value):
     return cfg
 
 
+def dropped(base, key):
+    """A deep copy of the config without the dotted key."""
+    cfg = copy.deepcopy(base)
+    *parents, last = key.split(".")
+    target = cfg
+    for part in parents:
+        target = target[part]
+    del target[last]
+    return cfg
+
+
 PULSE = {"shape": "rectangular", "B0": 1.0, "t_on": 0.0, "t_off": 1.0}
 LOOP = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
 INTERFERE = {"mode": "interfere", "theta": 0.5, "phi_d": 0.3}
@@ -622,6 +632,26 @@ REJECTIONS = [
     ("grid-flag-count-cap", SWEEP, [f"--grid-theta=0:1:{10**12}"], "grid_theta[2]"),
     ("velocities-cap", changed(NONDISPERSIVE, "velocities", [0.0] * (MAX_COUNT + 1)), [], "velocities"),
     ("vertices-cap", changed(AC, "path.vertices", [[1.0, 0.0]] * (MAX_COUNT + 1)), [], "path.vertices"),
+    # each mode's required keys (the README's table), each one left out
+    *(
+        (f"{mode}-without-{key}", dropped(dict(base, mode=mode), key), [], key)
+        for base, modes, keys in [
+            (INTERFERE, ["interfere"], ["theta", "phi_d"]),
+            (SWEEP, ["sweep"], ["grid_theta", "grid_phid"]),
+            (CHI_SCAN, ["chi-scan"], ["theta", "phi_d"]),
+            (SAB, ["sab-classical", "sab-quantum"], ["field", "field.pulse", "theta"]),
+            (AC, ["ac-classical", "ac-quantum"], ["field", "theta", "path"]),
+            (NONDISPERSIVE, ["nondispersive"], ["field", "field.pulse", "packet", "region", "velocities"]),
+        ]
+        for mode in modes
+        for key in keys
+    ),
+    # value ranges a mode needs
+    ("chi-scan-phi-without-visibility", changed(CHI_SCAN, "phi", 0.3), [], "visibility"),
+    ("visibility-above-1", {"mode": "chi-scan", "phi": 0.3, "visibility": 1.5}, [], "visibility"),
+    ("t-max-negative", changed(SAB, "t_max", -1.0), [], "t_max"),
+    ("velocities-empty", changed(NONDISPERSIVE, "velocities", []), [], "velocities"),
+    ("k-sigma-zero", changed(NONDISPERSIVE, "k_sigma", 0.0), [], "k_sigma"),
 ]
 
 
@@ -797,6 +827,20 @@ class TestErrors:
         assert main(["--config", str(cfg), *flags]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, key",
+        [case[1:] for case in REJECTIONS if case[0] != "out-unwritable"],
+        ids=[case[0] for case in REJECTIONS if case[0] != "out-unwritable"],
+    )
+    def test_rejection_comes_before_any_runner(self, tmp_path, monkeypatch, capsys, config, flags, key):
+        def unreachable(scenario):
+            raise AssertionError(f"ran the {scenario.mode} runner")
+
+        monkeypatch.setattr(spinphase.cli, "_RUNNERS", dict.fromkeys(MODES, unreachable))
+        cfg = write_config(tmp_path, "cfg.json", dict(config, out=str(tmp_path / "x.csv")))
+        assert main(["--config", str(cfg), *flags]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Field evaluation, gauge potential, line and pulse integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spinphase import (
     precess_ac_closed_form,
     pulse_integral_B,
 )
+from spinphase.config import field_from_dict
 from spinphase.fields import SINGULAR_DISTANCE, _segment_integrals
 
 import reference
@@ -204,6 +206,21 @@ class TestLineIntegral:
         # just beyond SINGULAR_DISTANCE the chord subtends nearly pi
         far = PlanarPath(np.array([[-1.0, -2 * SINGULAR_DISTANCE], [1.0, -2 * SINGULAR_DISTANCE]]))
         assert line_integral_A(unit_charge, far) == pytest.approx(0.5, rel=1e-8)
+
+    def test_peak_memory_does_not_grow_with_charges(self):
+        # the singular check keeps each charge's lowest hit, not an array per charge
+        path = PlanarPath(np.stack([np.linspace(0.0, 1.0, 4001), np.zeros(4001)], axis=1))
+
+        def peak(n_charges):
+            cfg = FieldConfig(charges=[LineCharge(0.5, 10.0 + k, 1.0) for k in range(n_charges)])
+            tracemalloc.start()
+            try:
+                line_integral_A(cfg, path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50) < 1.5 * peak(1)
 
     def test_convergence_in_n_sub(self, unit_charge):
         # the midpoint oracle converges to the exact value at second order
@@ -487,7 +504,7 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip(self):
         # the reader half: a field config document gives back the objects it describes
-        back = FieldConfig.from_dict(
+        back = field_from_dict(
             {
                 "charges": [{"x": 0.5, "y": -1.0, "lambda": 2.25}],
                 "pulse": {"shape": "smooth-bump", "B0": 1.5, "t_on": 0.0, "t_off": 2.0, "ramp": 0.25},
